@@ -119,12 +119,34 @@ def circuit(num_wires: int, instructions) -> Circuit:
 # -- execution ------------------------------------------------------------
 
 
-def final_state(circ: Circuit) -> StateVector:
-    """State after the unitary part, from |0...0>."""
+def _evolve(circ: Circuit, basis_index: int = 0) -> StateVector:
+    """Apply the circuit's gates to the basis state |basis_index>."""
     sv = StateVector(circ.num_wires)
+    if basis_index:
+        sv.amps[0] = 0.0
+        sv.amps[basis_index] = 1.0
     for ins in circ.gates:
         sv.apply_gate(ins.gate, ins.wires, ins.param)
     return sv
+
+
+def final_state(circ: Circuit) -> StateVector:
+    """State after the unitary part, from |0...0>."""
+    return _evolve(circ)
+
+
+def readout_code(num_qubits: int, wires) -> np.ndarray:
+    """Each basis index's readout string over ``wires``, as a big-endian int.
+
+    Position ``pos`` of the string (first wire leftmost) is bit
+    ``len(wires) - 1 - pos`` of the code.
+    """
+    idx = np.arange(1 << num_qubits)
+    code = np.zeros(len(idx), dtype=np.int64)
+    width = len(wires)
+    for pos, q in enumerate(wires):
+        code |= ((idx >> q) & 1) << (width - 1 - pos)
+    return code
 
 
 def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
@@ -140,11 +162,8 @@ def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
         raise ValueError("circuit has no measurements")
     sv = final_state(circ)
     probs = np.abs(sv.amps) ** 2
-    idx = np.arange(len(probs))
     width = len(meas)
-    code = np.zeros(len(probs), dtype=np.int64)
-    for pos, ins in enumerate(meas):
-        code |= ((idx >> ins.wires[0]) & 1) << (width - 1 - pos)
+    code = readout_code(circ.num_wires, [ins.wires[0] for ins in meas])
     agg = np.bincount(code, weights=probs, minlength=1 << width)
     return {
         format(i, f"0{width}b"): float(p) for i, p in enumerate(agg) if p > 0.0
@@ -166,23 +185,22 @@ def sample_counts(
     return out
 
 
-def unitary_of(circ: Circuit) -> np.ndarray:
-    """Full unitary via column-by-column simulation (<= MAX_VERIFY_WIRES)."""
+def _require_unitary(circ: Circuit) -> None:
     if circ.num_wires > MAX_VERIFY_WIRES:
         raise ValueError(
             f"unitary reconstruction limited to {MAX_VERIFY_WIRES} wires"
         )
     if circ.measurements:
         raise ValueError("unitary reconstruction requires a measurement-free circuit")
+
+
+def unitary_of(circ: Circuit) -> np.ndarray:
+    """Full unitary via column-by-column simulation (<= MAX_VERIFY_WIRES)."""
+    _require_unitary(circ)
     dim = 1 << circ.num_wires
     u = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        sv = StateVector(circ.num_wires, amps)
-        for ins in circ.instructions:
-            sv.apply_gate(ins.gate, ins.wires, ins.param)
-        u[:, col] = sv.amps
+        u[:, col] = _evolve(circ, col).amps
     return u
 
 
@@ -199,13 +217,11 @@ def verify_equivalence(
     (c2 may be wider; its extra wires must start and end in |0>);
     ``input_perm`` does the same on the input side and defaults to
     ``wire_perm``.  Routed circuits use the initial placement for inputs and
-    the recorded final placement for outputs.  Returns (equal, max
-    deviation).
+    the recorded final placement for outputs.  Only c1's 2^n1 columns are
+    simulated, on both circuits.  Returns (equal, max deviation).
     """
-    if c1.num_wires > MAX_VERIFY_WIRES or c2.num_wires > MAX_VERIFY_WIRES:
-        raise ValueError(
-            f"equivalence check limited to {MAX_VERIFY_WIRES} wires"
-        )
+    _require_unitary(c1)
+    _require_unitary(c2)
     out_perm = wire_perm or {w: w for w in range(c1.num_wires)}
     in_perm = input_perm or out_perm
     dim1 = 1 << c1.num_wires
@@ -216,25 +232,13 @@ def verify_equivalence(
     max_dev = 0.0
     phase = None
     for col in range(dim1):
-        amps1 = np.zeros(dim1, dtype=complex)
-        amps1[col] = 1.0
-        sv1 = StateVector(c1.num_wires, amps1)
-        for ins in c1.instructions:
-            sv1.apply_gate(ins.gate, ins.wires, ins.param)
-
         col2 = 0
         for w in range(c1.num_wires):
             col2 |= ((col >> w) & 1) << in_perm[w]
-        amps2 = np.zeros(1 << c2.num_wires, dtype=complex)
-        amps2[col2] = 1.0
-        sv2 = StateVector(c2.num_wires, amps2)
-        for ins in c2.instructions:
-            sv2.apply_gate(ins.gate, ins.wires, ins.param)
-
         expected = np.zeros(1 << c2.num_wires, dtype=complex)
-        expected[idx_out] = sv1.amps
+        expected[idx_out] = _evolve(c1, col).amps
 
-        got = sv2.amps
+        got = _evolve(c2, col2).amps
         if up_to_global_phase:
             if phase is None:
                 k = int(np.argmax(np.abs(expected)))

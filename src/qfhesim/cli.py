@@ -69,6 +69,8 @@ def _load_placement(path: str) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise ValueError(f"--out {args.out} exists and is not a directory")
     if args.pattern == "reference":
         pattern = harness.reference_pattern()
     else:
@@ -110,16 +112,20 @@ def _cmd_run(args) -> int:
 
 
 def _table_from_report(path: Path) -> harness.CountsTable:
-    data = json.loads((path / "report.json").read_text(encoding="utf-8"))
-    inputs = list(data["inputs"])
-    table = harness.CountsTable(
-        inputs=inputs,
-        shots=int(data["shots"]),
-        output_nodes=list(data["output_nodes"]),
-    )
-    for v in inputs:
-        table.ones[v] = list(data["ones"][str(v)])
-        table.joints[v] = dict(data["joints"][str(v)])
+    report_path = path / "report.json"
+    try:
+        data = json.loads(report_path.read_text(encoding="utf-8"))
+        inputs = list(data["inputs"])
+        table = harness.CountsTable(
+            inputs=inputs,
+            shots=int(data["shots"]),
+            output_nodes=list(data["output_nodes"]),
+        )
+        for v in inputs:
+            table.ones[v] = list(data["ones"][str(v)])
+            table.joints[v] = dict(data["joints"][str(v)])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{report_path}: malformed report ({exc!r})") from exc
     return table
 
 
@@ -148,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         PatternFormatError,
         CircuitFormatError,
         FlowError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

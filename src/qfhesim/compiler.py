@@ -40,10 +40,12 @@ from .circuit import (
     route,
     rz_as_named_gates,
 )
-from .pattern import MeasurementPattern, input_keys, z_dependency_set
+from .pattern import MeasurementPattern, input_keys
+from .protocol import _correct_all
 
-_GADGET_K = 1
-_WITH_PRED_KS = (2, 6)
+# Symbolic readout values are frozensets of symbols read as their XOR; this
+# symbol is the constant 1.
+_ONE = frozenset({("one",)})
 
 
 class CompileError(ValueError):
@@ -81,24 +83,15 @@ def compile_qfhe_to_circuit(
     physical nodes and is required with ``coupling``.  Symbolic XOR tracking
     asserts that every wire ends holding its node's corrected value.
     """
-    pattern.validate()
+    plan = pattern.plan
     keys = input_keys(pattern, input_bits)
     nodes = pattern.graph.nodes
-    wire_of: dict = {v: i for i, v in enumerate(nodes)}
+    wire_of = dict(plan.wire_of)
     companions = pattern.quarter_nodes
-    for i, node in enumerate(companions):
-        wire_of[("companion", node)] = len(nodes) + i
-    num_wires = len(nodes) + len(companions)
-
-    pred = {v: pattern.flow.predecessor(v) for v in pattern.graph.nodes}
-    zdeps = {
-        i: z_dependency_set(pattern.graph, pattern.flow, i)
-        for i in pattern.flow.order
-    }
 
     ins: list[Instruction] = []
-    # Symbolic readout value per wire: (frozenset of symbols, constant bit).
-    value: dict[int, tuple[frozenset, int]] = {}
+    # Symbolic readout value per wire.
+    value: dict[int, frozenset] = {}
 
     # Preparation: |+> everywhere, companion copies, then the graph edges.
     for v in nodes:
@@ -116,15 +109,15 @@ def compile_qfhe_to_circuit(
         ins.extend(rz_as_named_gates(-k % 8, w))
         ins.append(gate("h", w))
         sym = frozenset({("s", i)})
-        const = 0
         if keys.get(i, 0):
             ins.append(gate("x", w))
-            const ^= 1
+            sym ^= _ONE
 
         sources: list[int] = []
-        if k == _GADGET_K:
+        p = plan.pred[i]
+        if plan.family[i] == "gadget":
             cw = wire_of[("companion", i)]
-            p = pred[i]
+            comp_sym = frozenset({("alpha", i)})
             if p is not None:
                 ins.extend(
                     decompose_controlled_sdg(
@@ -132,59 +125,44 @@ def compile_qfhe_to_circuit(
                     )
                 )
                 num_csdg += 1
+                comp_sym ^= value[wire_of[p]]
             ins.append(gate("h", cw))
             # Readout of the companion equals the protocol's companion
             # outcome XOR the control bit (S vs S-dagger labels the basis
             # states oppositely), so fanning in both the companion wire and
             # the predecessor wire reproduces the correction rule.
-            comp_sym: frozenset = frozenset({("alpha", i)})
-            if p is not None:
-                csyms, cconst = value[wire_of[p]]
-                comp_sym = comp_sym ^ csyms
-                value[cw] = (comp_sym, cconst)
-            else:
-                value[cw] = (comp_sym, 0)
+            value[cw] = comp_sym
             sources.append(cw)
             if p is not None:
                 sources.append(wire_of[p])
-        elif k in _WITH_PRED_KS and pred[i] is not None:
-            sources.append(wire_of[pred[i]])
-        for j in sorted(zdeps[i]):
+        elif plan.family[i] == "pred" and p is not None:
+            sources.append(wire_of[p])
+        for j in sorted(plan.zdeps[i]):
             sources.append(wire_of[j])
 
         for src in sources:
             ins.append(gate("cnot", src, w))
-            ssyms, sconst = value[src]
-            sym ^= ssyms
-            const ^= sconst
-        value[w] = (sym, const)
+            sym ^= value[src]
+        value[w] = sym
 
     for o in pattern.graph.outputs:
         w = wire_of[o]
         sym = frozenset({("s", o)})
-        const = 0
-        if pred[o] is not None:
-            src = wire_of[pred[o]]
-            ins.append(gate("cnot", src, w))
-            ssyms, sconst = value[src]
-            sym ^= ssyms
-            const ^= sconst
-        value[w] = (sym, const)
+        p = plan.pred[o]
+        if p is not None:
+            ins.append(gate("cnot", wire_of[p], w))
+            sym ^= value[wire_of[p]]
+        value[w] = sym
 
-    _assert_corrected_values(pattern, keys, pred, zdeps, value, wire_of)
+    _assert_corrected_values(pattern, keys, value)
 
     bit_names = []
-    for w in range(num_wires):
-        label = None
-        for key_, wire in wire_of.items():
-            if wire == w:
-                label = key_
-                break
+    for label, w in wire_of.items():
         name = f"n{label}" if isinstance(label, int) else f"c{label[1]}"
         ins.append(measure(w, name))
         bit_names.append(name)
 
-    circ = circuit(num_wires, ins)
+    circ = circuit(len(wire_of), ins)
     final_placement = None
     if coupling is not None:
         if placement is None:
@@ -203,8 +181,8 @@ def compile_qfhe_to_circuit(
     server_masks = []
     for o in pattern.graph.outputs:
         mask = [wire_of[o]]
-        if pred[o] is not None:
-            mask.append(wire_of[pred[o]])
+        if plan.pred[o] is not None:
+            mask.append(wire_of[plan.pred[o]])
         server_masks.append(sorted(mask))
 
     return CompiledProtocol(
@@ -219,41 +197,21 @@ def compile_qfhe_to_circuit(
     )
 
 
-def _assert_corrected_values(pattern, keys, pred, zdeps, value, wire_of) -> None:
-    """Every wire must end holding its node's corrected outcome."""
-    expected: dict[int, tuple[frozenset, int]] = {}
-    for i in pattern.flow.order:
-        k = pattern.angles[i]
-        sym = frozenset({("s", i)})
-        const = keys.get(i, 0)
-        if k == _GADGET_K:
-            sym ^= frozenset({("alpha", i)})
-            # The compiled companion readout carries an extra copy of the
-            # predecessor bit, which the explicit predecessor fan-in cancels;
-            # net effect equals the protocol rule.
-        elif k in _WITH_PRED_KS and pred[i] is not None:
-            psym, pconst = expected[pred[i]]
-            sym ^= psym
-            const ^= pconst
-        for j in zdeps[i]:
-            jsym, jconst = expected[j]
-            sym ^= jsym
-            const ^= jconst
-        expected[i] = (sym, const)
-        got = value[wire_of[i]]
-        if got != (sym, const):
+def _assert_corrected_values(pattern, keys, value) -> None:
+    """Every wire must end holding its node's corrected outcome.
+
+    The expected values are the protocol's own correction rule evaluated
+    over symbols (``s``: raw outcome, ``alpha``: companion outcome), so the
+    circuit is checked against the rule rather than a second copy of it.
+    """
+    s = {v: frozenset({("s", v)}) for v in pattern.graph.nodes}
+    alpha = {v: frozenset({("alpha", v)}) for v in pattern.quarter_nodes}
+    sym_keys = {v: _ONE if bit else frozenset() for v, bit in keys.items()}
+    expected = _correct_all(pattern, s, alpha, sym_keys)
+    for v, want in expected.items():
+        got = value[pattern.plan.wire_of[v]]
+        if got != want:
             raise CompileError(
-                f"wire of node {i} tracks {got}, expected corrected {(sym, const)}"
-            )
-    for o in pattern.graph.outputs:
-        sym = frozenset({("s", o)})
-        const = 0
-        if pred[o] is not None:
-            psym, pconst = expected[pred[o]]
-            sym ^= psym
-            const ^= pconst
-        got = value[wire_of[o]]
-        if got != (sym, const):
-            raise CompileError(
-                f"output wire of node {o} tracks {got}, expected {(sym, const)}"
+                f"wire of node {v} tracks {sorted(got)}, expected corrected"
+                f" {sorted(want)}"
             )

@@ -56,6 +56,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if not self.inputs:
+            raise ValueError("no inputs to run")
+        if len(set(self.inputs)) != len(self.inputs):
+            raise ValueError(f"duplicate inputs in {list(self.inputs)}")
         hi = 1 << len(self.pattern.graph.inputs)
         for v in self.inputs:
             if not 0 <= v < hi:
@@ -100,7 +104,7 @@ def reference_pattern() -> MeasurementPattern:
     )
     angles = {1: 0, 2: 2, 3: 0, 4: 1, 5: 2, 6: 1}
     pattern = MeasurementPattern(graph, flow, angles)
-    pattern.validate()
+    pattern.plan  # validates the flow once; every run reuses the plan
     return pattern
 
 
@@ -122,10 +126,7 @@ def default_placement(pattern: MeasurementPattern) -> dict:
             ("companion", 6): 13,
         }
     # First-fit for other patterns routed onto ladders or rings.
-    labels = list(pattern.graph.nodes) + [
-        ("companion", v) for v in pattern.quarter_nodes
-    ]
-    return {label: i for i, label in enumerate(labels)}
+    return dict(pattern.plan.wire_of)
 
 
 def _seed_for(seed: int, input_value: int, shot: int) -> np.random.Generator:

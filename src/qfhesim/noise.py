@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .statevec import StateVector
+from .statevec import GATES_1Q, StateVector, rz_matrix
 
 _PAULIS = ("x", "y", "z")
 
@@ -145,8 +145,6 @@ def noisy_execute(
     instructions = circ.instructions
 
     # Precompiled layer program: (matrix-or-gate, wires, error prob) rows.
-    from .statevec import GATES_1Q, rz_matrix
-
     program: list[list[tuple]] = []
     measure_layer: dict[int, int] = {}
     for layer_no, layer in enumerate(layers):

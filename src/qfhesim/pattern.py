@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -29,6 +30,14 @@ from .statevec import StateVector, new_plus_state
 # admit only the canonical set below; in-memory patterns may carry any k so
 # that J(alpha) steps with alpha = pi/4 (measured at -pi/4) stay expressible.
 CANONICAL_ANGLE_KS = (0, 1, 2, 4, 6)
+
+# The pi/4 angle: its node needs a companion qubit.
+_GADGET_K = 1
+
+# Deferred-correction rule family per angle multiple: "z" corrects by the
+# Z-dependency set only, "pred" also by the flow predecessor, "gadget" by the
+# companion outcome instead.  Other multiples have no deferred rule.
+_ANGLE_FAMILY = {0: "z", 4: "z", 2: "pred", 6: "pred", _GADGET_K: "gadget"}
 
 
 class FlowError(ValueError):
@@ -181,6 +190,36 @@ def flow_order_from_partial(graph: OpenGraph, f: dict[int, int]) -> tuple[int, .
 
 
 @dataclass(frozen=True)
+class PatternPlan:
+    """What every run of a pattern reads, worked out once from its valid flow.
+
+    ``wire_of`` is the register layout: graph nodes in id order, then one
+    ``("companion", node)`` label per pi/4 node in flow order.  ``family``
+    names each measured node's deferred-correction rule (None when its angle
+    has none).  The dicts are shared by every run; do not mutate them.
+    """
+
+    pred: dict[int, int | None]
+    zdeps: dict[int, frozenset[int]]
+    wire_of: dict[int | tuple[str, int], int]
+    family: dict[int, str | None]
+
+    def byproducts(self, node: int, b: dict[int, int], keys: dict[int, int]):
+        """Pending (X, Z) byproduct bits on node, from the corrected bits b."""
+        p = self.pred[node]
+        x = b[p] if p is not None else 0
+        z = keys.get(node, 0)
+        for j in self.zdeps[node]:
+            z ^= b[j]
+        return x, z
+
+    def corrected_output(self, o: int, raw, b):
+        """Output rule: raw readout XOR the predecessor's corrected bit."""
+        p = self.pred[o]
+        return raw if p is None else raw ^ b[p]
+
+
+@dataclass(frozen=True)
 class MeasurementPattern:
     """Open graph + flow + per-measured-node angle (integer multiples of pi/4)."""
 
@@ -202,12 +241,25 @@ class MeasurementPattern:
     @property
     def quarter_nodes(self) -> tuple[int, ...]:
         """Measured nodes at pi/4, i.e. the ones needing a companion qubit."""
-        return tuple(v for v in self.flow.order if self.angles[v] == 1)
+        return tuple(v for v in self.flow.order if self.angles[v] == _GADGET_K)
 
     def validate(self) -> None:
         ok, violations = validate_flow(self.graph, self.flow)
         if not ok:
             raise FlowError("; ".join(violations))
+
+    @cached_property
+    def plan(self) -> PatternPlan:
+        """The pattern's plan, validated and built on first use, then kept."""
+        self.validate()
+        graph, flow = self.graph, self.flow
+        labels = [*graph.nodes, *(("companion", v) for v in self.quarter_nodes)]
+        return PatternPlan(
+            pred={v: flow.predecessor(v) for v in graph.nodes},
+            zdeps={v: frozenset(z_dependency_set(graph, flow, v)) for v in graph.nodes},
+            wire_of={label: w for w, label in enumerate(labels)},
+            family={v: _ANGLE_FAMILY.get(k) for v, k in self.angles.items()},
+        )
 
 
 @dataclass
@@ -260,18 +312,17 @@ def input_keys(pattern: MeasurementPattern, input_bits) -> dict[int, int]:
 
 def _prepare_graph_state(
     pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
-) -> tuple[StateVector, dict[int, int]]:
+) -> StateVector:
     """All-|+> register entangled along the edges; optional physical Z on inputs."""
-    nodes = pattern.graph.nodes
-    qubit_of = {v: i for i, v in enumerate(nodes)}
-    sv = new_plus_state(len(nodes))
+    qubit_of = pattern.plan.wire_of
+    sv = new_plus_state(len(pattern.graph.nodes))
     if direct_input_bits:
         for v, bit in direct_input_bits.items():
             if bit:
                 sv.apply_gate("z", (qubit_of[v],))
     for a, b in pattern.graph.edges:
         sv.apply_gate("cz", (qubit_of[a], qubit_of[b]))
-    return sv, qubit_of
+    return sv
 
 
 def run_interactive(
@@ -287,20 +338,14 @@ def run_interactive(
     Interactive outcomes are corrected outcomes by construction, so the
     ledger's ``s`` and ``b`` coincide.
     """
-    pattern.validate()
+    plan = pattern.plan
     keys = input_keys(pattern, input_bits)
-    sv, qubit_of = _prepare_graph_state(pattern)
-    ledger = OutcomeLedger()
-    for i in pattern.flow.order:
-        ledger.zdeps[i] = z_dependency_set(pattern.graph, pattern.flow, i)
-    pred = {v: pattern.flow.predecessor(v) for v in pattern.graph.nodes}
+    sv = _prepare_graph_state(pattern)
+    qubit_of = plan.wire_of
+    ledger = OutcomeLedger(zdeps={i: plan.zdeps[i] for i in pattern.flow.order})
 
     for i in pattern.flow.order:
-        x = ledger.b[pred[i]] if pred[i] is not None else 0
-        z = 0
-        for j in ledger.zdeps[i]:
-            z ^= ledger.b[j]
-        z ^= keys.get(i, 0)
+        x, z = plan.byproducts(i, ledger.b, keys)
         k_eff = _corrected_angle_k(pattern.angles[i], x, z)
         out = sv.measure_rotated(qubit_of[i], k_eff * pi / 4, rng)
         ledger.s[i] = out.bit
@@ -308,32 +353,25 @@ def run_interactive(
 
     if keep_quantum_output:
         for o in pattern.graph.outputs:
-            x = ledger.b[pred[o]] if pred[o] is not None else 0
-            z = 0
-            for j in z_dependency_set(pattern.graph, pattern.flow, o):
-                z ^= ledger.b[j]
-            z ^= keys.get(o, 0)
+            x, z = plan.byproducts(o, ledger.b, keys)
             if x:
                 sv.apply_gate("x", (qubit_of[o],))
             if z:
                 sv.apply_gate("z", (qubit_of[o],))
-        return ledger, _extract_output_state(sv, pattern, qubit_of)
+        return ledger, _extract_output_state(sv, pattern)
 
     output_bits = []
     for o in pattern.graph.outputs:
         out = sv.measure_z(qubit_of[o], rng)
         ledger.s[o] = out.bit
-        x = ledger.b[pred[o]] if pred[o] is not None else 0
-        ledger.b[o] = out.bit ^ x
+        ledger.b[o] = plan.corrected_output(o, out.bit, ledger.b)
         output_bits.append(ledger.b[o])
     return ledger, output_bits
 
 
-def _extract_output_state(
-    sv: StateVector, pattern: MeasurementPattern, qubit_of: dict[int, int]
-) -> StateVector:
+def _extract_output_state(sv: StateVector, pattern: MeasurementPattern) -> StateVector:
     """Pure state on the output qubits once every other qubit is collapsed."""
-    out_qubits = [qubit_of[o] for o in pattern.graph.outputs]
+    out_qubits = [pattern.plan.wire_of[o] for o in pattern.graph.outputs]
     n = sv.num_qubits
     amps = sv.amps
     # Each collapsed qubit is in a pure single-qubit state, so the register
@@ -456,7 +494,7 @@ def load_pattern(path) -> MeasurementPattern:
         graph = OpenGraph(tuple(nodes), tuple(edges), tuple(inputs), tuple(outputs))
         order = flow_order_from_partial(graph, f)
         pattern = MeasurementPattern(graph, FlowMap(f, order), angles)
-        pattern.validate()
+        pattern.plan  # validates the flow once; every run reuses the plan
     except ValueError as exc:
         raise PatternFormatError(f"{path}: {exc}") from exc
     return pattern

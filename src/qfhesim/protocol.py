@@ -25,22 +25,18 @@ from math import pi
 
 import numpy as np
 
+from .circuit import readout_code
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
     _corrected_angle_k,
     _prepare_graph_state,
     input_keys,
-    z_dependency_set,
 )
 from .statevec import StateVector, Y_BASIS_ANGLE
 
 DIST_TOL = 1e-9
 MAX_ENUMERATED_MEASUREMENTS = 12
-
-_Z_ONLY_KS = (0, 4)
-_WITH_PRED_KS = (2, 6)
-_GADGET_K = 1
 
 
 def encode_input(input_bits) -> list[int]:
@@ -121,32 +117,61 @@ class QfheRun:
 def _corrected_bit(
     pattern: MeasurementPattern,
     node: int,
-    s: dict[int, int],
-    b: dict[int, int],
-    alpha: dict[int, int],
-    keys: dict[int, int],
-    zdeps: dict[int, set[int]],
-    pred: dict[int, int | None],
+    s: dict,
+    b: dict,
+    alpha: dict,
+    keys: dict,
     drop_pred_term: bool = False,
-) -> int:
-    k = pattern.angles[node]
-    acc = s[node] ^ keys.get(node, 0)
-    for j in zdeps[node]:
+):
+    """The deferred-correction rule of one measured node (see module doc).
+
+    Bits may be ints or frozensets of symbols: ``^`` is XOR on the first and
+    symmetric difference on the second, which is how the compiler checks
+    its circuits against this rule.  ``keys`` holds input nodes only.
+    """
+    plan = pattern.plan
+    family = plan.family[node]
+    acc = s[node]
+    if node in keys:
+        acc ^= keys[node]
+    for j in plan.zdeps[node]:
         acc ^= b[j]
-    if k in _Z_ONLY_KS:
+    if family == "z":
         return acc
-    if k in _WITH_PRED_KS:
-        p = pred[node]
+    if family == "pred":
+        p = plan.pred[node]
         if p is not None and not drop_pred_term:
             acc ^= b[p]
         return acc
-    if k == _GADGET_K:
+    if family == "gadget":
         if node not in alpha:
             raise ValueError(f"missing companion outcome for pi/4 node {node}")
         return acc ^ alpha[node]
     raise ValueError(
-        f"angle multiple {k} of node {node} has no deferred-correction rule"
+        f"angle multiple {pattern.angles[node]} of node {node} has no"
+        " deferred-correction rule"
     )
+
+
+def _correct_all(
+    pattern: MeasurementPattern,
+    s: dict,
+    alpha: dict,
+    keys: dict,
+    drop_pred_term: bool = False,
+) -> dict:
+    """Corrected outcomes of every node: the rule in flow order, then outputs."""
+    plan = pattern.plan
+    b: dict = {}
+    for i in pattern.flow.order:
+        if i not in s:
+            raise ValueError(f"missing raw outcome for node {i}")
+        b[i] = _corrected_bit(pattern, i, s, b, alpha, keys, drop_pred_term)
+    for o in pattern.graph.outputs:
+        if o not in s:
+            raise ValueError(f"missing raw readout for output node {o}")
+        b[o] = plan.corrected_output(o, s[o], b)
+    return b
 
 
 def deferred_corrections(
@@ -159,60 +184,32 @@ def deferred_corrections(
     """Corrected outcomes for every node, computed in flow order.
 
     ``s`` must hold raw outcomes for all measured nodes and raw computational
-    readouts for the outputs.  The ``_drop_pred_term`` hook deliberately
-    corrupts the pi/2-family rule; the selftest uses it to prove the
-    equivalence check has teeth.
+    readouts for the outputs; a broken flow raises FlowError.  The
+    ``_drop_pred_term`` hook deliberately corrupts the pi/2-family rule; the
+    selftest uses it to prove the equivalence check has teeth.
     """
     keys = input_keys(pattern, input_bits)
-    zdeps = {
-        i: z_dependency_set(pattern.graph, pattern.flow, i)
-        for i in pattern.flow.order
-    }
-    pred = {v: pattern.flow.predecessor(v) for v in pattern.graph.nodes}
-    b: dict[int, int] = {}
-    for i in pattern.flow.order:
-        if i not in s:
-            raise ValueError(f"missing raw outcome for node {i}")
-        b[i] = _corrected_bit(
-            pattern, i, s, b, alpha, keys, zdeps, pred, _drop_pred_term
-        )
-    for o in pattern.graph.outputs:
-        if o not in s:
-            raise ValueError(f"missing raw readout for output node {o}")
-        x = b[pred[o]] if pred[o] is not None else 0
-        b[o] = s[o] ^ x
-    return b
-
-
-def _companion_map(pattern: MeasurementPattern) -> dict[int, int]:
-    """Qubit index of each pi/4 node's companion in the simulated register."""
-    n_graph = len(pattern.graph.nodes)
-    return {
-        node: n_graph + i for i, node in enumerate(pattern.quarter_nodes)
-    }
+    return _correct_all(pattern, s, alpha, keys, _drop_pred_term)
 
 
 def _prepare_protocol_state(
     pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
-) -> tuple[StateVector, dict[int, int], dict[int, int]]:
-    nodes = pattern.graph.nodes
-    qubit_of = {v: i for i, v in enumerate(nodes)}
-    comp_of = _companion_map(pattern)
-    total = len(nodes) + len(comp_of)
-    sv = StateVector(total)
-    for v in nodes:
-        sv.apply_gate("h", (qubit_of[v],))
+) -> StateVector:
+    wire_of = pattern.plan.wire_of
+    sv = StateVector(len(wire_of))
+    for v in pattern.graph.nodes:
+        sv.apply_gate("h", (wire_of[v],))
     if direct_input_bits:
         for v, bit in direct_input_bits.items():
             if bit:
-                sv.apply_gate("z", (qubit_of[v],))
+                sv.apply_gate("z", (wire_of[v],))
     # Companion copies commute with the CZ edges; doing them first matches
     # the Bell-pair construction (H then CNOT from |00>).
-    for node, comp in comp_of.items():
-        sv.apply_gate("cnot", (qubit_of[node], comp))
+    for node in pattern.quarter_nodes:
+        sv.apply_gate("cnot", (wire_of[node], wire_of[("companion", node)]))
     for a, b in pattern.graph.edges:
-        sv.apply_gate("cz", (qubit_of[a], qubit_of[b]))
-    return sv, qubit_of, comp_of
+        sv.apply_gate("cz", (wire_of[a], wire_of[b]))
+    return sv
 
 
 def run_qfhe_detailed(
@@ -226,15 +223,11 @@ def run_qfhe_detailed(
     ``want_transcript`` skips message logging for bulk shot loops; outcomes
     are unaffected (no random draws depend on it).
     """
-    pattern.validate()
+    plan = pattern.plan
     bits = encode_input(input_bits)
     keys = input_keys(pattern, bits)
-    sv, qubit_of, comp_of = _prepare_protocol_state(pattern)
-    pred = {v: pattern.flow.predecessor(v) for v in pattern.graph.nodes}
-    zdeps = {
-        i: z_dependency_set(pattern.graph, pattern.flow, i)
-        for i in pattern.flow.order
-    }
+    sv = _prepare_protocol_state(pattern)
+    wire_of = plan.wire_of
 
     tr = ProtocolTranscript()
     log = tr.add if want_transcript else (lambda *args: None)
@@ -252,36 +245,37 @@ def run_qfhe_detailed(
     # Server phase: default angles throughout, outputs read computationally.
     s: dict[int, int] = {}
     for i in pattern.flow.order:
-        out = sv.measure_rotated(qubit_of[i], pattern.angle_rad(i), rng)
+        out = sv.measure_rotated(wire_of[i], pattern.angle_rad(i), rng)
         s[i] = out.bit
         log("s2c", "outcome", f"{i} {out.bit}")
     raw_outputs: dict[int, int] = {}
     for o in pattern.graph.outputs:
-        out = sv.measure_z(qubit_of[o], rng)
+        out = sv.measure_z(wire_of[o], rng)
         raw_outputs[o] = out.bit
         log("s2c", "output-raw", f"{o} {out.bit}")
     for node in pattern.quarter_nodes:
         log("s2c", "companion-return", str(node))
 
     # Client phase: companion measurements and the correction recursion.
-    ledger = OutcomeLedger(s=dict(s) | dict(raw_outputs), zdeps=zdeps)
+    ledger = OutcomeLedger(
+        s=dict(s) | dict(raw_outputs),
+        zdeps={i: plan.zdeps[i] for i in pattern.flow.order},
+    )
     alpha: dict[int, int] = {}
     basis_choices: dict[int, str] = {}
     b: dict[int, int] = {}
     for i in pattern.flow.order:
-        if pattern.angles[i] == _GADGET_K:
-            p = pred[i]
-            basis = client_basis(b[p] if p is not None else 0)
+        if plan.family[i] == "gadget":
+            basis = client_basis(plan.byproducts(i, b, keys)[0])
             basis_choices[i] = basis
-            out = sv.measure_pauli_basis(comp_of[i], basis, rng)
+            out = sv.measure_pauli_basis(wire_of[("companion", i)], basis, rng)
             alpha[i] = out.bit
             log("client", "basis", f"{i} {basis}")
             log("client", "companion-outcome", f"{i} {out.bit}")
-        b[i] = _corrected_bit(pattern, i, s, b, alpha, keys, zdeps, pred)
+        b[i] = _corrected_bit(pattern, i, s, b, alpha, keys)
         log("client", "corrected", f"{i} {b[i]}")
     for o in pattern.graph.outputs:
-        x = b[pred[o]] if pred[o] is not None else 0
-        b[o] = raw_outputs[o] ^ x
+        b[o] = plan.corrected_output(o, raw_outputs[o], b)
         log("client", "output", f"{o} {b[o]}")
 
     ledger.b = b
@@ -314,42 +308,86 @@ def run_qfhe(
 # -- exact branch enumeration (the master oracle) ------------------------
 
 
-def _output_code(num_qubits: int, out_qubits: list[int]) -> np.ndarray:
-    """Map each basis index to its raw output string read as a big-endian int.
-
-    Position ``pos`` of the string (first output leftmost) is bit
-    ``len(out_qubits) - 1 - pos`` of the code.
-    """
-    idx = np.arange(1 << num_qubits)
-    code = np.zeros(len(idx), dtype=np.int64)
-    width = len(out_qubits)
-    for pos, q in enumerate(out_qubits):
-        code |= ((idx >> q) & 1) << (width - 1 - pos)
-    return code
+def _branches(sv: StateVector, q: int, phi: float):
+    """(bit, probability, collapsed copy) for each possible outcome on q."""
+    for bit in (0, 1):
+        nxt = sv.copy()
+        p = nxt.project_rotated(q, phi, bit)
+        if p > 0.0:
+            yield bit, p, nxt
 
 
-def _output_distribution_leaf(
-    sv: StateVector,
+def _walk_branches(
     pattern: MeasurementPattern,
-    code: np.ndarray,
-    b: dict[int, int],
-    pred: dict[int, int | None],
+    input_bits,
+    mode: str,
+    direct_input_prep: bool = False,
 ) -> dict[str, float]:
-    """Joint probabilities of corrected output strings for a collapsed branch."""
+    """Exact law of the output strings, by walking every measurement branch.
+
+    ``interactive`` adapts angles and yields corrected outputs; ``qfhe``
+    measures at default angles, branches on each companion in the client's
+    basis and yields deferred-corrected outputs; ``raw`` walks the protocol
+    register at default angles without touching the companions and yields
+    the server's raw readouts.
+    """
+    plan = pattern.plan
+    keys = input_keys(pattern, encode_input(input_bits))
+    direct = None
+    if direct_input_prep:
+        direct = dict(keys)
+        keys = {v: 0 for v in keys}
+    if mode == "interactive":
+        sv0 = _prepare_graph_state(pattern, direct)
+    else:
+        sv0 = _prepare_protocol_state(pattern, direct)
+
+    order = pattern.flow.order
     outs = pattern.graph.outputs
     width = len(outs)
-    probs = np.abs(sv.amps) ** 2
-    raw_dist = np.bincount(code, weights=probs, minlength=1 << width)
-    xor_mask = 0
-    for pos, o in enumerate(outs):
-        x = b[pred[o]] if pred[o] is not None else 0
-        xor_mask |= x << (width - 1 - pos)
+    code = readout_code(sv0.num_qubits, [plan.wire_of[o] for o in outs])
     dist: dict[str, float] = {}
-    for raw_idx in range(1 << width):
-        p = float(raw_dist[raw_idx])
-        if p <= 0.0:
-            continue
-        dist[format(raw_idx ^ xor_mask, f"0{width}b")] = p
+
+    def walk(sv: StateVector, prob: float, idx: int, b: dict, alpha: dict):
+        if prob <= 1e-15:
+            return
+        if idx == len(order):
+            xor_mask = 0
+            if mode != "raw":
+                for pos, o in enumerate(outs):
+                    xor_mask |= plan.corrected_output(o, 0, b) << (width - 1 - pos)
+            probs = np.abs(sv.amps) ** 2
+            raw_dist = np.bincount(code, weights=probs, minlength=1 << width)
+            for raw_idx in range(1 << width):
+                p = float(raw_dist[raw_idx])
+                if p > 0.0:
+                    key = format(raw_idx ^ xor_mask, f"0{width}b")
+                    dist[key] = dist.get(key, 0.0) + prob * p
+            return
+        i = order[idx]
+        if mode == "interactive":
+            x, z = plan.byproducts(i, b, keys)
+            phi = _corrected_angle_k(pattern.angles[i], x, z) * pi / 4
+        else:
+            phi = pattern.angle_rad(i)
+        # qfhe: the companion first, in the basis the client would pick.
+        companions = [(None, 1.0, sv)]
+        if mode == "qfhe" and plan.family[i] == "gadget":
+            basis = client_basis(plan.byproducts(i, b, keys)[0])
+            phi_c = 0.0 if basis == "X" else Y_BASIS_ANGLE
+            companions = _branches(sv, plan.wire_of[("companion", i)], phi_c)
+        for a_out, pa, mid in companions:
+            alpha2 = alpha if a_out is None else {**alpha, i: a_out}
+            for outcome, ps, nxt in _branches(mid, plan.wire_of[i], phi):
+                bit = outcome
+                if mode == "qfhe":
+                    bit = _corrected_bit(pattern, i, {i: outcome}, b, alpha2, keys)
+                walk(nxt, prob * pa * ps, idx + 1, {**b, i: bit}, alpha2)
+
+    walk(sv0, 1.0, 0, {}, {})
+    total = sum(dist.values())
+    if abs(total - 1.0) > DIST_TOL:
+        raise RuntimeError(f"branch probabilities sum to {total}, expected 1")
     return dist
 
 
@@ -368,14 +406,6 @@ def enumerate_branches(
     """
     if mode not in ("interactive", "qfhe"):
         raise ValueError(f"unknown mode {mode!r}")
-    pattern.validate()
-    bits = encode_input(input_bits)
-    keys = input_keys(pattern, bits)
-    direct = None
-    if direct_input_prep:
-        direct = dict(keys)
-        keys = {v: 0 for v in keys}
-
     n_branch_points = len(pattern.flow.order)
     if mode == "qfhe":
         n_branch_points += len(pattern.quarter_nodes)
@@ -384,123 +414,22 @@ def enumerate_branches(
             f"{n_branch_points} measurement branch points exceed the"
             f" enumeration guard of {MAX_ENUMERATED_MEASUREMENTS}"
         )
-
-    pred = {v: pattern.flow.predecessor(v) for v in pattern.graph.nodes}
-    zdeps = {
-        i: z_dependency_set(pattern.graph, pattern.flow, i)
-        for i in pattern.flow.order
-    }
-    if mode == "qfhe":
-        sv0, qubit_of, comp_of = _prepare_protocol_state(pattern, direct)
-    else:
-        sv0, qubit_of = _prepare_graph_state(pattern, direct)
-        comp_of = {}
-
-    order = pattern.flow.order
-    code = _output_code(
-        sv0.num_qubits, [qubit_of[o] for o in pattern.graph.outputs]
-    )
-    dist: dict[str, float] = {}
-
-    def walk(sv: StateVector, prob: float, idx: int, b: dict, alpha: dict):
-        if prob <= 1e-15:
-            return
-        if idx == len(order):
-            for key, p in _output_distribution_leaf(
-                sv, pattern, code, b, pred
-            ).items():
-                dist[key] = dist.get(key, 0.0) + prob * p
-            return
-        i = order[idx]
-        if mode == "interactive":
-            x = b[pred[i]] if pred[i] is not None else 0
-            z = keys.get(i, 0)
-            for j in zdeps[i]:
-                z ^= b[j]
-            k_eff = _corrected_angle_k(pattern.angles[i], x, z)
-            for outcome in (0, 1):
-                nxt = sv.copy()
-                p = nxt.project_rotated(qubit_of[i], k_eff * pi / 4, outcome)
-                if p > 0.0:
-                    b2 = dict(b)
-                    b2[i] = outcome
-                    walk(nxt, prob * p, idx + 1, b2, alpha)
-            return
-
-        # qfhe: companion first when present, then the node at its default.
-        if pattern.angles[i] == _GADGET_K:
-            p_node = pred[i]
-            basis = client_basis(b[p_node] if p_node is not None else 0)
-            phi_c = 0.0 if basis == "X" else Y_BASIS_ANGLE
-            for a_out in (0, 1):
-                mid = sv.copy()
-                pa = mid.project_rotated(comp_of[i], phi_c, a_out)
-                if pa <= 0.0:
-                    continue
-                for outcome in (0, 1):
-                    nxt = mid.copy()
-                    ps = nxt.project_rotated(
-                        qubit_of[i], pattern.angle_rad(i), outcome
-                    )
-                    if ps <= 0.0:
-                        continue
-                    alpha2 = dict(alpha)
-                    alpha2[i] = a_out
-                    b2 = dict(b)
-                    b2[i] = _corrected_bit(
-                        pattern, i, {i: outcome}, b2, alpha2, keys, zdeps, pred
-                    )
-                    walk(nxt, prob * pa * ps, idx + 1, b2, alpha2)
-            return
-        for outcome in (0, 1):
-            nxt = sv.copy()
-            ps = nxt.project_rotated(qubit_of[i], pattern.angle_rad(i), outcome)
-            if ps <= 0.0:
-                continue
-            b2 = dict(b)
-            b2[i] = _corrected_bit(
-                pattern, i, {i: outcome}, b2, alpha, keys, zdeps, pred
-            )
-            walk(nxt, prob * ps, idx + 1, b2, alpha)
-
-    walk(sv0, 1.0, 0, {}, {})
-    total = sum(dist.values())
-    if abs(total - 1.0) > DIST_TOL:
-        raise RuntimeError(f"branch probabilities sum to {total}, expected 1")
-    return dist
+    return _walk_branches(pattern, input_bits, mode, direct_input_prep)
 
 
 def server_output_marginals_exact(
     pattern: MeasurementPattern, input_bits
 ) -> dict[int, float]:
-    """Exact P(raw output readout = 1) per output node, before corrections."""
-    pattern.validate()
-    bits = encode_input(input_bits)
-    sv, qubit_of, _ = _prepare_protocol_state(pattern)
-    pred = {v: pattern.flow.predecessor(v) for v in pattern.graph.nodes}
-    zdeps = {
-        i: z_dependency_set(pattern.graph, pattern.flow, i)
-        for i in pattern.flow.order
+    """Exact P(raw output readout = 1) per output node, before corrections.
+
+    The branch walk's raw-readout mode: what the server reads, whatever the
+    client later does with the companions.
+    """
+    dist = _walk_branches(pattern, input_bits, "raw")
+    return {
+        o: sum(p for key, p in dist.items() if key[pos] == "1")
+        for pos, o in enumerate(pattern.graph.outputs)
     }
-    order = pattern.flow.order
-    marg = {o: 0.0 for o in pattern.graph.outputs}
-
-    def walk(sv: StateVector, prob: float, idx: int):
-        if prob <= 1e-15:
-            return
-        if idx == len(order):
-            for o in pattern.graph.outputs:
-                marg[o] += prob * sv.probability_one(qubit_of[o])
-            return
-        i = order[idx]
-        for outcome in (0, 1):
-            nxt = sv.copy()
-            p = nxt.project_rotated(qubit_of[i], pattern.angle_rad(i), outcome)
-            if p > 0.0:
-                walk(nxt, prob * p, idx + 1)
-
-    walk(sv, 1.0, 0)
-    return marg
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:

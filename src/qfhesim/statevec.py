@@ -24,7 +24,8 @@ from math import pi, sqrt
 import numpy as np
 
 MAX_QUBITS = 20
-NORM_TOL = 1e-10
+# Branches at or below this probability are impossible: never projected onto.
+ZERO_BRANCH_P = 1e-15
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -199,7 +200,7 @@ class StateVector:
         """
         p1 = self.probability_one(q)
         p = p1 if bit else 1.0 - p1
-        if p <= 1e-15:
+        if p <= ZERO_BRANCH_P:
             return 0.0
         view = self.amps.reshape(-1, 2, 1 << q)
         view[:, 1 - bit, :] = 0.0
@@ -209,6 +210,9 @@ class StateVector:
     def measure_z(self, q: int, rng: np.random.Generator) -> MeasurementOutcome:
         p1 = self.probability_one(q)
         bit = 1 if rng.random() < p1 else 0
+        # Report the other bit when the drawn branch is one project_z refuses.
+        if (p1 if bit else 1.0 - p1) <= ZERO_BRANCH_P:
+            bit ^= 1
         p = self.project_z(q, bit)
         return MeasurementOutcome(bit, p, self)
 

@@ -18,6 +18,7 @@ from qfhesim.circuit import (
     save_coupling,
     verify_equivalence,
 )
+from qfhesim import compiler, protocol
 from qfhesim.compiler import CompileError, compile_qfhe_to_circuit
 from qfhesim.harness import default_placement, input_bits_of, reference_pattern
 from qfhesim.pattern import FlowMap, MeasurementPattern, OpenGraph
@@ -188,6 +189,41 @@ def test_compile_requires_placement_for_routing():
     ref = reference_pattern()
     with pytest.raises(CompileError):
         compile_qfhe_to_circuit(ref, [0, 0, 0], coupling=ladder16())
+
+
+@pytest.mark.parametrize("tamper", ["constant", "drop-predecessor", "extra-symbol"])
+def test_symbolic_check_rejects_a_wrong_wire_value(monkeypatch, tamper):
+    # Node 5 (angle pi/2) fans in its predecessor 2; spoil what its wire is
+    # tracked to hold and the check must refuse the circuit.
+    ref = reference_pattern()
+    w5, w2 = ref.plan.wire_of[5], ref.plan.wire_of[2]
+    real = compiler._assert_corrected_values
+
+    def tampered(pattern, keys, value):
+        value = dict(value)
+        value[w5] ^= {
+            "constant": compiler._ONE,
+            "drop-predecessor": value[w2],
+            "extra-symbol": frozenset({("s", 7)}),
+        }[tamper]
+        real(pattern, keys, value)
+
+    monkeypatch.setattr(compiler, "_assert_corrected_values", tampered)
+    with pytest.raises(CompileError, match="node 5"):
+        compile_qfhe_to_circuit(ref, [0, 1, 0])
+
+
+def test_symbolic_check_follows_the_protocol_rule(monkeypatch):
+    # Corrupt the rule, not the circuit: the check reads the rule, so it
+    # must now refuse the unchanged circuit.
+    rule = protocol._corrected_bit
+
+    def without_pred(pattern, node, s, b, alpha, keys, drop_pred_term=False):
+        return rule(pattern, node, s, b, alpha, keys, True)
+
+    monkeypatch.setattr(protocol, "_corrected_bit", without_pred)
+    with pytest.raises(CompileError, match="node 5"):
+        compile_qfhe_to_circuit(reference_pattern(), [0, 0, 0])
 
 
 def test_compiled_masks_recover_server_raw_bits():

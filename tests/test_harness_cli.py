@@ -262,18 +262,43 @@ def test_cli_run_with_files(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_validation_error_exit_code(tmp_path):
-    proc = run_cli(
-        "run",
-        "--mode",
-        "qfhe",
-        "--pattern",
-        str(tmp_path / "missing.txt"),
-        "--out",
-        str(tmp_path / "out"),
-    )
+def _run_args(tmp_path, *extra, pattern="reference", out="out"):
+    return [
+        "run", "--mode", "qfhe", "--pattern", pattern, "--shots", "2",
+        *extra, "--out", str(tmp_path / out),
+    ]
+
+
+def _compare_reports_missing_keys(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text('{"inputs": [0]}')
+    return ["compare", str(tmp_path / "a"), str(tmp_path / "b")]
+
+
+def _run_onto_existing_file(tmp_path):
+    (tmp_path / "taken").write_text("keep\n")
+    return _run_args(tmp_path, out="taken")
+
+
+BAD_REQUESTS = {
+    "missing-pattern": lambda t: _run_args(t, pattern=str(t / "missing.txt")),
+    "report-missing-keys": _compare_reports_missing_keys,
+    "out-is-a-file": _run_onto_existing_file,
+    "duplicate-inputs": lambda t: _run_args(t, "--inputs", "0,0,1"),
+    "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REQUESTS))
+def test_cli_validation_error_exit_code(tmp_path, case):
+    proc = run_cli(*BAD_REQUESTS[case](tmp_path))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+    if case == "out-is-a-file":
+        assert (tmp_path / "taken").read_text() == "keep\n"
 
 
 def test_cli_compare_flags_disagreement(tmp_path):

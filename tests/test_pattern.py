@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfhesim.compiler import compile_qfhe_to_circuit
+from qfhesim.harness import reference_pattern
 from qfhesim.pattern import (
     CANONICAL_ANGLE_KS,
     FlowError,
@@ -24,6 +26,7 @@ from qfhesim.pattern import (
     validate_flow,
     z_dependency_set,
 )
+from qfhesim.protocol import deferred_corrections, enumerate_branches, run_qfhe_detailed
 from qfhesim.statevec import GATES_1Q, trace_distance_pure
 
 
@@ -151,6 +154,57 @@ def test_zdeps_isolated_pair():
     flow = FlowMap({1: 2, 3: 4}, (1, 3))
     assert z_dependency_set(graph, flow, 4) == set()
     assert z_dependency_set(graph, flow, 2) == set()
+
+
+# -- the per-pattern plan --------------------------------------------------------
+
+
+def test_plan_of_reference_pattern():
+    ref = reference_pattern()
+    plan = ref.plan
+    assert plan is ref.plan
+    for v in ref.graph.nodes:
+        assert plan.pred[v] == ref.flow.predecessor(v)
+        assert plan.zdeps[v] == z_dependency_set(ref.graph, ref.flow, v)
+    assert list(plan.wire_of) == [*range(1, 10), ("companion", 4), ("companion", 6)]
+    assert list(plan.wire_of.values()) == list(range(11))
+    assert plan.family == {1: "z", 2: "pred", 3: "z", 4: "gadget", 5: "pred", 6: "gadget"}
+
+
+def test_plan_validates_once_across_runs(monkeypatch):
+    graph, flow = chain(3)
+    pat = MeasurementPattern(graph, flow, {1: 1, 2: 2})
+    calls = []
+    real = MeasurementPattern.validate
+    monkeypatch.setattr(
+        MeasurementPattern, "validate", lambda self: calls.append(1) or real(self)
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        run_interactive(pat, [1], rng)
+        run_qfhe_detailed(pat, [1], rng)
+        enumerate_branches(pat, [1], mode="qfhe")
+        compile_qfhe_to_circuit(pat, [1])
+    assert len(calls) == 1
+
+
+def test_plan_of_broken_flow_raises_every_time():
+    graph, flow = chain(3)
+    pat = MeasurementPattern(graph, FlowMap(flow.f, (2, 1)), {1: 0, 2: 0})
+    for _ in range(2):
+        with pytest.raises(FlowError):
+            pat.plan
+    with pytest.raises(FlowError):
+        run_interactive(pat, [0], np.random.default_rng(0))
+
+
+def test_plan_accepts_angles_without_a_deferred_rule():
+    pat = j_alpha_pattern(pi / 4)  # measured at -pi/4, angle multiple 7
+    assert pat.angles == {1: 7}
+    assert pat.plan.family == {1: None}
+    run_interactive(pat, [0], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no deferred-correction rule"):
+        deferred_corrections(pat, {1: 0, 2: 0}, {}, [0])
 
 
 # -- corrected angles -----------------------------------------------------------

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qfhesim.harness import input_bits_of, reference_pattern
-from qfhesim.pattern import FlowMap, MeasurementPattern, OpenGraph, random_pattern
+from qfhesim.pattern import (
+    FlowError,
+    FlowMap,
+    MeasurementPattern,
+    OpenGraph,
+    random_pattern,
+)
 from qfhesim.protocol import (
     client_basis,
     deferred_corrections,
@@ -18,7 +24,7 @@ from qfhesim.protocol import (
     server_output_marginals_exact,
     total_variation,
 )
-from qfhesim.statevec import GATES_1Q, gate_matrix
+from qfhesim.statevec import GATES_1Q, StateVector, gate_matrix
 
 
 def equal_up_to_phase(a, b, tol=1e-12):
@@ -213,6 +219,13 @@ def test_pattern_without_quarter_angles_has_no_companions():
     assert b == run.client.ledger.b
 
 
+def test_deferred_corrections_rejects_broken_flow():
+    pat = three_chain({1: 0, 2: 2})
+    broken = MeasurementPattern(pat.graph, FlowMap(pat.flow.f, (2, 1)), pat.angles)
+    with pytest.raises(FlowError):
+        deferred_corrections(broken, {1: 0, 2: 0, 3: 0}, {}, [0])
+
+
 # -- oracle equivalences ------------------------------------------------------
 
 
@@ -278,6 +291,22 @@ def test_server_marginals_exactly_half_on_reference():
         marg = server_output_marginals_exact(ref, input_bits_of(ref, value))
         for o, p in marg.items():
             assert abs(p - 0.5) < 1e-9, (value, o, p)
+
+
+def test_server_marginals_leave_companions_unmeasured(monkeypatch):
+    # The server's readouts come before the client touches a companion, so
+    # the raw-readout walk branches on graph nodes only.
+    ref = reference_pattern()
+    projected = set()
+    real = StateVector.project_rotated
+
+    def spy(self, q, phi, bit):
+        projected.add(q)
+        return real(self, q, phi, bit)
+
+    monkeypatch.setattr(StateVector, "project_rotated", spy)
+    server_output_marginals_exact(ref, [0, 0, 0])
+    assert projected == {ref.plan.wire_of[v] for v in ref.flow.order}
 
 
 def test_reference_distribution_is_parity_product():

@@ -224,6 +224,31 @@ def test_rotated_eigenstate_deterministic():
         assert out.bit == 1 and abs(out.probability - 1.0) < 1e-12
 
 
+class FixedDraw:
+    """Generator stand-in whose uniform draws all return one value."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+@pytest.mark.parametrize("p1", [0.0, 1e-16, 1 - 1e-16])
+@pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
+def test_measure_z_reports_the_branch_it_projects(p1, u):
+    # Extreme draws pick the near-impossible branch where one exists; the
+    # reported bit must be the one the state collapses onto.
+    sv = StateVector(1, [sqrt(1 - p1), sqrt(p1)])
+    rng = FixedDraw(u)
+    out = sv.measure_z(0, rng)
+    assert rng.calls == 1
+    assert out.probability > 0.5
+    assert sv.probability_one(0) == pytest.approx(out.bit, abs=1e-12)
+
+
 def test_rotated_post_state_projected():
     rng = np.random.default_rng(13)
     phi = pi / 2
