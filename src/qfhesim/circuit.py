@@ -64,6 +64,8 @@ class Instruction:
                 )
             if len(set(self.wires)) != len(self.wires):
                 raise ValueError(f"duplicate wires {self.wires}")
+            if self.gate == "rz" and self.param is None:
+                raise ValueError("rz requires an angle parameter")
 
 
 def gate(name: str, *wires: int, param: float | None = None) -> Instruction:
@@ -313,7 +315,7 @@ def decompose_swap_onedir(a: int, b: int, lower_cz: bool = False) -> list[Instru
     ``lower_cz`` the CZ is further lowered to H-conjugated CNOT(a, b).
     """
     if lower_cz:
-        middle = [gate("h", a), gate("h", b), gate("cnot", a, b), gate("h", b), gate("h", a)]
+        middle = reverse_cnot(a, b)
     else:
         middle = [gate("h", a), gate("cz", a, b), gate("h", a)]
     return [gate("cnot", a, b)] + middle + [gate("cnot", a, b)]
@@ -338,26 +340,6 @@ def decompose_controlled_sdg(
         gate("cnot", control, target),
     ]
     return out
-
-
-def count_controlled_sdg(circ: Circuit) -> int:
-    """Occurrences of the controlled-S-dagger template in an instruction list."""
-    pattern_gates = ("tdg", "tdg", "cnot", "t", "cnot")
-    count = 0
-    ins = circ.instructions
-    for i in range(len(ins) - 4):
-        window = ins[i : i + 5]
-        if tuple(w.gate for w in window) != pattern_gates:
-            continue
-        c, t = window[2].wires
-        if (
-            window[0].wires == (t,)
-            and window[1].wires == (c,)
-            and window[3].wires == (t,)
-            and window[4].wires == (c, t)
-        ):
-            count += 1
-    return count
 
 
 # -- coupling maps and routing --------------------------------------------

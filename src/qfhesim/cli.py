@@ -58,13 +58,17 @@ def _load_placement(path: str) -> dict:
             if not line:
                 continue
             tokens = line.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected '<label> <physical>'")
-            label, phys = tokens
-            key = (
-                ("companion", int(label[1:])) if label.startswith("c") else int(label)
-            )
-            placement[key] = int(phys)
+            try:
+                if len(tokens) != 2:
+                    raise ValueError("expected '<label> <physical>'")
+                label, phys = tokens
+                companion = label.startswith("c")
+                key = ("companion", int(label[1:])) if companion else int(label)
+                if key in placement:
+                    raise ValueError(f"label {label!r} placed twice")
+                placement[key] = int(phys)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return placement
 
 

@@ -85,21 +85,12 @@ def compile_qfhe_to_circuit(
     """
     plan = pattern.plan
     keys = input_keys(pattern, input_bits)
-    nodes = pattern.graph.nodes
     wire_of = dict(plan.wire_of)
-    companions = pattern.quarter_nodes
 
-    ins: list[Instruction] = []
+    # The plan's register preparation, then the protocol's measurements.
+    ins: list[Instruction] = list(plan.prep.instructions)
     # Symbolic readout value per wire.
     value: dict[int, frozenset] = {}
-
-    # Preparation: |+> everywhere, companion copies, then the graph edges.
-    for v in nodes:
-        ins.append(gate("h", wire_of[v]))
-    for node in companions:
-        ins.append(gate("cnot", wire_of[node], wire_of[("companion", node)]))
-    for a, b in pattern.graph.edges:
-        ins.append(gate("cz", wire_of[a], wire_of[b]))
 
     num_csdg = 0
     for i in pattern.flow.order:

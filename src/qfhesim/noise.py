@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .statevec import GATES_1Q, StateVector, rz_matrix
+from .statevec import StateVector
 
 _PAULIS = ("x", "y", "z")
 
@@ -140,67 +140,47 @@ def noisy_execute(
     if not circ.measurements:
         raise ValueError("circuit has no measurements")
     circ, _ = _compact_wires(circ)
-    meas = circ.measurements
-    layers = schedule_layers(circ)
-    instructions = circ.instructions
+    ins_of = circ.instructions
+    layers = [[ins_of[idx] for idx in layer] for layer in schedule_layers(circ)]
+    measured_in = {
+        ins.wires[0]: layer_no
+        for layer_no, layer in enumerate(layers)
+        for ins in layer
+        if ins.gate == "measure"
+    }
 
-    # Precompiled layer program: (matrix-or-gate, wires, error prob) rows.
-    program: list[list[tuple]] = []
-    measure_layer: dict[int, int] = {}
+    # Per layer: its gates with their error probability, then the wires
+    # idling through it (untouched by the layer and not yet measured).
+    program: list[tuple[list, list[int]]] = []
+    p1, p2 = model.p1, model.p2
     for layer_no, layer in enumerate(layers):
-        rows = []
-        for idx in layer:
-            ins = instructions[idx]
-            if ins.gate == "measure":
-                measure_layer[ins.wires[0]] = layer_no
-                continue
-            if ins.gate == "rz":
-                rows.append(("1q", rz_matrix(ins.param), ins.wires, model.p1))
-            elif len(ins.wires) == 1:
-                rows.append(("1q", GATES_1Q[ins.gate], ins.wires, model.p1))
-            else:
-                rows.append((ins.gate, None, ins.wires, model.p2))
-        program.append(rows)
-
-    width = len(meas)
-    meas_wires = [ins.wires[0] for ins in meas]
-    idle_candidates = [
-        [
+        touched = {w for ins in layer for w in ins.wires}
+        gates = [
+            (ins.gate, ins.wires, ins.param, p1 if len(ins.wires) == 1 else p2)
+            for ins in layer
+            if ins.gate != "measure"
+        ]
+        idle = [
             w
             for w in range(circ.num_wires)
-            if measure_layer.get(w, len(layers)) > layer_no
+            if w not in touched and measured_in.get(w, len(layers)) > layer_no
         ]
-        for layer_no in range(len(layers))
-    ]
-    touched_in_layer = [
-        {w for idx in layer for w in instructions[idx].wires}
-        for layer in layers
-    ]
+        program.append((gates, idle if model.p_idle > 0.0 else []))
 
+    meas_wires = [ins.wires[0] for ins in circ.measurements]
     seeds = rng.integers(0, 2**63, size=shots)
     counts: Counter = Counter()
-    apply_idle = model.p_idle > 0.0
     for shot in range(shots):
         shot_rng = np.random.default_rng(seeds[shot])
         sv = StateVector(circ.num_wires)
-        for layer_no, rows in enumerate(program):
-            for kind, matrix, wires, p in rows:
-                if kind == "1q":
-                    sv._apply_1q(matrix, wires[0])
-                elif kind == "cz":
-                    sv._apply_cz(*wires)
-                elif kind == "cnot":
-                    sv._apply_cnot(*wires)
-                else:
-                    sv._apply_swap(*wires)
+        for gates, idle in program:
+            for name, wires, param, p in gates:
+                sv.apply_gate(name, wires, param)
                 if p > 0.0:
                     depolarize(sv, wires, p, shot_rng)
-            if apply_idle:
-                for w in idle_candidates[layer_no]:
-                    if w in touched_in_layer[layer_no]:
-                        continue
-                    if shot_rng.random() < model.p_idle:
-                        sv.apply_gate("z", (w,))
+            for w in idle:
+                if shot_rng.random() < model.p_idle:
+                    sv.apply_gate("z", (w,))
         probs = np.abs(sv.amps) ** 2
         probs /= probs.sum()
         outcome = int(np.searchsorted(np.cumsum(probs), shot_rng.random()))

@@ -24,6 +24,7 @@ from math import pi
 
 import numpy as np
 
+from .circuit import Circuit, circuit, gate
 from .statevec import StateVector, new_plus_state
 
 # Angle grid: angles are k * pi/4.  Pattern files and deferred corrections
@@ -196,13 +197,17 @@ class PatternPlan:
     ``wire_of`` is the register layout: graph nodes in id order, then one
     ``("companion", node)`` label per pi/4 node in flow order.  ``family``
     names each measured node's deferred-correction rule (None when its angle
-    has none).  The dicts are shared by every run; do not mutate them.
+    has none).  ``prep`` prepares that register from |0...0>: H on every
+    node, a CNOT copy onto each companion (the Bell-pair construction), then
+    CZ along every edge.  The dicts are shared by every run; do not mutate
+    them.
     """
 
     pred: dict[int, int | None]
     zdeps: dict[int, frozenset[int]]
     wire_of: dict[int | tuple[str, int], int]
     family: dict[int, str | None]
+    prep: Circuit
 
     def byproducts(self, node: int, b: dict[int, int], keys: dict[int, int]):
         """Pending (X, Z) byproduct bits on node, from the corrected bits b."""
@@ -254,22 +259,31 @@ class MeasurementPattern:
         self.validate()
         graph, flow = self.graph, self.flow
         labels = [*graph.nodes, *(("companion", v) for v in self.quarter_nodes)]
+        wire_of = {label: w for w, label in enumerate(labels)}
+        prep = [
+            *(gate("h", wire_of[v]) for v in graph.nodes),
+            *(
+                gate("cnot", wire_of[v], wire_of[("companion", v)])
+                for v in self.quarter_nodes
+            ),
+            *(gate("cz", wire_of[a], wire_of[b]) for a, b in graph.edges),
+        ]
         return PatternPlan(
             pred={v: flow.predecessor(v) for v in graph.nodes},
             zdeps={v: frozenset(z_dependency_set(graph, flow, v)) for v in graph.nodes},
-            wire_of={label: w for w, label in enumerate(labels)},
+            wire_of=wire_of,
             family={v: _ANGLE_FAMILY.get(k) for v, k in self.angles.items()},
+            prep=circuit(len(wire_of), prep),
         )
 
 
 @dataclass
 class OutcomeLedger:
-    """Raw outcomes, corrected outcomes, companion outcomes, Z-dependency sets."""
+    """Raw outcomes, corrected outcomes and companion outcomes of one run."""
 
     s: dict[int, int] = field(default_factory=dict)
     b: dict[int, int] = field(default_factory=dict)
     alpha: dict[int, int] = field(default_factory=dict)
-    zdeps: dict[int, set[int]] = field(default_factory=dict)
 
 
 def corrected_angle(phi: float, s_x: int, z_parity: int) -> float:
@@ -342,7 +356,7 @@ def run_interactive(
     keys = input_keys(pattern, input_bits)
     sv = _prepare_graph_state(pattern)
     qubit_of = plan.wire_of
-    ledger = OutcomeLedger(zdeps={i: plan.zdeps[i] for i in pattern.flow.order})
+    ledger = OutcomeLedger()
 
     for i in pattern.flow.order:
         x, z = plan.byproducts(i, ledger.b, keys)

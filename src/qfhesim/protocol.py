@@ -25,7 +25,7 @@ from math import pi
 
 import numpy as np
 
-from .circuit import readout_code
+from .circuit import final_state, readout_code
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
@@ -195,20 +195,16 @@ def deferred_corrections(
 def _prepare_protocol_state(
     pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
 ) -> StateVector:
-    wire_of = pattern.plan.wire_of
-    sv = StateVector(len(wire_of))
-    for v in pattern.graph.nodes:
-        sv.apply_gate("h", (wire_of[v],))
-    if direct_input_bits:
-        for v, bit in direct_input_bits.items():
-            if bit:
-                sv.apply_gate("z", (wire_of[v],))
-    # Companion copies commute with the CZ edges; doing them first matches
-    # the Bell-pair construction (H then CNOT from |00>).
-    for node in pattern.quarter_nodes:
-        sv.apply_gate("cnot", (wire_of[node], wire_of[("companion", node)]))
-    for a, b in pattern.graph.edges:
-        sv.apply_gate("cz", (wire_of[a], wire_of[b]))
+    """The plan's register preparation; optional physical Z on inputs.
+
+    A Z on a node commutes with its companion copy and the CZ edges and is an
+    exact sign flip, so applying it last gives amplitudes equal to those of
+    preparing |-> up front.
+    """
+    sv = final_state(pattern.plan.prep)
+    for v, bit in (direct_input_bits or {}).items():
+        if bit:
+            sv.apply_gate("z", (pattern.plan.wire_of[v],))
     return sv
 
 
@@ -257,10 +253,7 @@ def run_qfhe_detailed(
         log("s2c", "companion-return", str(node))
 
     # Client phase: companion measurements and the correction recursion.
-    ledger = OutcomeLedger(
-        s=dict(s) | dict(raw_outputs),
-        zdeps={i: plan.zdeps[i] for i in pattern.flow.order},
-    )
+    ledger = OutcomeLedger(s=dict(s) | dict(raw_outputs))
     alpha: dict[int, int] = {}
     basis_choices: dict[int, str] = {}
     b: dict[int, int] = {}

@@ -51,6 +51,8 @@ GATE_ARITY.update({name: 2 for name in GATES_2Q})
 
 def rz_matrix(theta: float) -> np.ndarray:
     """Phase rotation diag(1, e^{i theta})."""
+    if theta is None:
+        raise ValueError("rz requires an angle parameter")
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
 
 
@@ -62,8 +64,6 @@ def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
     is the control.
     """
     if name == "rz":
-        if param is None:
-            raise ValueError("rz requires an angle parameter")
         return rz_matrix(param)
     if name in GATES_1Q:
         return GATES_1Q[name].copy()
@@ -122,7 +122,7 @@ class StateVector:
     def _check_targets(self, targets: tuple[int, ...], arity: int) -> None:
         if len(targets) != arity:
             raise ValueError(f"gate expects {arity} target(s), got {len(targets)}")
-        if len(set(targets)) != len(targets):
+        if arity == 2 and targets[0] == targets[1]:
             raise ValueError(f"duplicate targets {targets}")
         for q in targets:
             if not 0 <= q < self.num_qubits:
@@ -192,13 +192,12 @@ class StateVector:
         view = self.amps.reshape(-1, 2, 1 << q)
         return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
-    def project_z(self, q: int, bit: int) -> float:
-        """Collapse qubit q onto computational value `bit`.
+    def _collapse(self, q: int, bit: int, p1: float) -> float:
+        """Collapse qubit q onto `bit`, given its probability of reading 1.
 
         Returns the probability of that branch; the state is left unchanged
         when the branch has probability 0.
         """
-        p1 = self.probability_one(q)
         p = p1 if bit else 1.0 - p1
         if p <= ZERO_BRANCH_P:
             return 0.0
@@ -207,29 +206,33 @@ class StateVector:
         self.amps /= sqrt(p)
         return p
 
+    def project_z(self, q: int, bit: int) -> float:
+        """Collapse qubit q onto computational value `bit` (see ``_collapse``)."""
+        return self._collapse(q, bit, self.probability_one(q))
+
     def measure_z(self, q: int, rng: np.random.Generator) -> MeasurementOutcome:
         p1 = self.probability_one(q)
         bit = 1 if rng.random() < p1 else 0
-        # Report the other bit when the drawn branch is one project_z refuses.
+        # Report the other bit when the drawn branch is one _collapse refuses.
         if (p1 if bit else 1.0 - p1) <= ZERO_BRANCH_P:
             bit ^= 1
-        p = self.project_z(q, bit)
-        return MeasurementOutcome(bit, p, self)
+        return MeasurementOutcome(bit, self._collapse(q, bit, p1), self)
+
+    def _in_rotated_frame(self, q: int, phi: float, readout):
+        """Run ``readout()`` with |+_phi>/|-_phi> on q turned into |0>/|1>."""
+        self.apply_gate("rz", (q,), -phi).apply_gate("h", (q,))
+        result = readout()
+        self.apply_gate("h", (q,)).apply_gate("rz", (q,), phi)
+        return result
 
     def project_rotated(self, q: int, phi: float, bit: int) -> float:
         """Collapse qubit q onto |+_phi> (bit 0) or |-_phi> (bit 1)."""
-        self.apply_gate("rz", (q,), -phi).apply_gate("h", (q,))
-        p = self.project_z(q, bit)
-        self.apply_gate("h", (q,)).apply_gate("rz", (q,), phi)
-        return p
+        return self._in_rotated_frame(q, phi, lambda: self.project_z(q, bit))
 
     def measure_rotated(
         self, q: int, phi: float, rng: np.random.Generator
     ) -> MeasurementOutcome:
-        self.apply_gate("rz", (q,), -phi).apply_gate("h", (q,))
-        out = self.measure_z(q, rng)
-        self.apply_gate("h", (q,)).apply_gate("rz", (q,), phi)
-        return MeasurementOutcome(out.bit, out.probability, self)
+        return self._in_rotated_frame(q, phi, lambda: self.measure_z(q, rng))
 
     def measure_pauli_basis(
         self, q: int, basis: str, rng: np.random.Generator

@@ -305,3 +305,12 @@ def test_circuit_file_errors(tmp_path):
     path.write_text("gate h 0\nmeasure 0 to a\n", encoding="utf-8")
     with pytest.raises(CircuitFormatError, match="bad.txt:2"):
         load_circuit(path)
+
+
+def test_rz_without_angle_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="rz requires an angle parameter"):
+        gate("rz", 0)
+    path = tmp_path / "bad.txt"
+    path.write_text("gate h 0\ngate rz 0\nmeasure 0 -> a\n", encoding="utf-8")
+    with pytest.raises(CircuitFormatError, match="bad.txt:2: rz requires an angle"):
+        load_circuit(path)

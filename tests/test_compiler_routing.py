@@ -251,3 +251,11 @@ def test_compiled_circuit_is_terminal_and_named():
     names = [m.bit for m in comp.circuit.measurements]
     assert names == comp.bit_names
     assert "n7" in names and "c4" in names and "c6" in names
+
+
+def test_compiled_circuit_starts_with_the_plan_preparation():
+    ref = reference_pattern()
+    prep = ref.plan.prep.instructions
+    for v in (0, 5):
+        got = compile_qfhe_to_circuit(ref, input_bits_of(ref, v)).circuit.instructions
+        assert got[: len(prep)] == prep

@@ -1,7 +1,8 @@
 """Pinned report bytes for the README's four CLI modes.
 
 Reference pattern, seed 0, all 8 inputs, 32 shots; the noisy mode is routed
-on ``couplings/ladder16.txt``.  Any change to seeded output fails here; a
+on ``couplings/ladder16.txt``.  The ``qfhe`` run's ``--dump-transcript``
+file is pinned too.  Any change to seeded output fails here; a
 change that must move a hash says why in CHANGES.md.
 """
 
@@ -46,3 +47,14 @@ def test_report_bytes_are_pinned(tmp_path, mode):
         for name in ("report.json", "table.csv")
     )
     assert got == GOLDEN[mode]
+
+
+TRANSCRIPT = "ae0c77ceb5de02b9833c8e5cd966e1e87a284c48ede0382bd549685ffad11637"
+
+
+def test_transcript_bytes_are_pinned(tmp_path):
+    args = ["run", "--mode", "qfhe", "--pattern", "reference", "--shots", "32"]
+    args += ["--seed", "0", "--out", str(tmp_path), "--dump-transcript"]
+    assert main(args) == 0
+    got = hashlib.sha256((tmp_path / "transcript.txt").read_bytes()).hexdigest()
+    assert got == TRANSCRIPT

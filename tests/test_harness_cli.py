@@ -21,6 +21,7 @@ from qfhesim.harness import (
     two_sample_chi2_p,
 )
 from qfhesim.circuit import ladder16
+from qfhesim.cli import _load_placement
 from qfhesim.pattern import validate_flow
 
 REPO = Path(__file__).resolve().parents[1]
@@ -281,12 +282,24 @@ def _run_onto_existing_file(tmp_path):
     return _run_args(tmp_path, out="taken")
 
 
+def _run_with_placement(text):
+    def args(tmp_path):
+        (tmp_path / "placement.txt").write_text(text)
+        coupling = str(REPO / "couplings" / "ladder16.txt")
+        placement = str(tmp_path / "placement.txt")
+        return _run_args(tmp_path, "--coupling", coupling, "--placement", placement)
+
+    return args
+
+
 BAD_REQUESTS = {
     "missing-pattern": lambda t: _run_args(t, pattern=str(t / "missing.txt")),
     "report-missing-keys": _compare_reports_missing_keys,
     "out-is-a-file": _run_onto_existing_file,
     "duplicate-inputs": lambda t: _run_args(t, "--inputs", "0,0,1"),
     "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
+    "placement-bad-label": _run_with_placement("x1 3\n"),
+    "placement-repeated-label": _run_with_placement("1 0\n1 3\n"),
 }
 
 
@@ -299,6 +312,24 @@ def test_cli_validation_error_exit_code(tmp_path, case):
     assert not (tmp_path / "out").exists()
     if case == "out-is-a-file":
         assert (tmp_path / "taken").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("x1 3\n", ":1: invalid literal"),
+        ("c4 x\n", ":1: invalid literal"),
+        ("1 0\n\n# moved\n1 3\n", ":4: label '1' placed twice"),
+        ("c4 0\nc4 1\n", ":2: label 'c4' placed twice"),
+        ("1 0 2\n", ":1: expected '<label> <physical>'"),
+    ],
+)
+def test_placement_errors_name_path_and_line(tmp_path, text, where):
+    path = tmp_path / "placement.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        _load_placement(str(path))
+    assert str(err.value).startswith(f"{path}{where}")
 
 
 def test_cli_compare_flags_disagreement(tmp_path):

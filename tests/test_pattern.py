@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfhesim.circuit import final_state
 from qfhesim.compiler import compile_qfhe_to_circuit
 from qfhesim.harness import reference_pattern
 from qfhesim.pattern import (
@@ -169,6 +170,21 @@ def test_plan_of_reference_pattern():
     assert list(plan.wire_of) == [*range(1, 10), ("companion", 4), ("companion", 6)]
     assert list(plan.wire_of.values()) == list(range(11))
     assert plan.family == {1: "z", 2: "pred", 3: "z", 4: "gadget", 5: "pred", 6: "gadget"}
+
+
+def test_plan_prep_is_graph_state_with_companion_copies():
+    # Oracle: the amplitude of a basis state is +-2^(-n/2) by the parity of
+    # its set edges when every companion copies its node, and 0 otherwise.
+    ref = reference_pattern()
+    wire_of = ref.plan.wire_of
+    amps = final_state(ref.plan.prep).amps
+    scale = 2.0 ** (-len(ref.graph.nodes) / 2)
+    for idx in range(len(amps)):
+        bit = {label: (idx >> w) & 1 for label, w in wire_of.items()}
+        copied = all(bit[("companion", v)] == bit[v] for v in ref.quarter_nodes)
+        parity = sum(bit[a] & bit[b] for a, b in ref.graph.edges) % 2
+        want = (-1) ** parity * scale if copied else 0.0
+        assert abs(amps[idx] - want) < 1e-12
 
 
 def test_plan_validates_once_across_runs(monkeypatch):

@@ -5,12 +5,14 @@ from math import pi
 import numpy as np
 import pytest
 
+from qfhesim import protocol
 from qfhesim.harness import input_bits_of, reference_pattern
 from qfhesim.pattern import (
     FlowError,
     FlowMap,
     MeasurementPattern,
     OpenGraph,
+    input_keys,
     random_pattern,
 )
 from qfhesim.protocol import (
@@ -330,3 +332,24 @@ def test_corrupted_predecessor_term_breaks_equivalence():
     good = deferred_corrections(pat, s, {}, [1])
     bad = deferred_corrections(pat, s, {}, [1], _drop_pred_term=True)
     assert good != bad
+
+
+def test_direct_input_flips_equal_minus_states_prepared_first():
+    # The register's Z flips come after the plan's preparation; they commute
+    # with its copies and CZs, so the amplitudes equal those of preparing
+    # |-> before entangling.
+    ref = reference_pattern()
+    wire_of = ref.plan.wire_of
+    for v in range(8):
+        keys = input_keys(ref, input_bits_of(ref, v))
+        want = StateVector(len(wire_of))
+        for node in ref.graph.nodes:
+            want.apply_gate("h", (wire_of[node],))
+            if keys.get(node):
+                want.apply_gate("z", (wire_of[node],))
+        for node in ref.quarter_nodes:
+            want.apply_gate("cnot", (wire_of[node], wire_of[("companion", node)]))
+        for a, b in ref.graph.edges:
+            want.apply_gate("cz", (wire_of[a], wire_of[b]))
+        got = protocol._prepare_protocol_state(ref, keys)
+        assert np.array_equal(got.amps, want.amps)

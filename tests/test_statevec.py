@@ -69,6 +69,13 @@ def test_apply_gate_errors():
         sv.apply_gate("nope", (0,))
 
 
+def test_rz_without_angle_is_rejected():
+    with pytest.raises(ValueError, match="rz requires an angle parameter"):
+        gate_matrix("rz")
+    with pytest.raises(ValueError, match="rz requires an angle parameter"):
+        StateVector(1).apply_gate("rz", (0,))
+
+
 def test_gate_application_matches_matrices():
     # Dense-kernel application must agree with explicit kron products.
     rng = np.random.default_rng(5)
@@ -247,6 +254,17 @@ def test_measure_z_reports_the_branch_it_projects(p1, u):
     assert rng.calls == 1
     assert out.probability > 0.5
     assert sv.probability_one(0) == pytest.approx(out.bit, abs=1e-12)
+
+
+def test_measure_z_reduces_over_the_register_once(monkeypatch):
+    calls = []
+    real = StateVector.probability_one
+    monkeypatch.setattr(
+        StateVector, "probability_one", lambda sv, q: calls.append(q) or real(sv, q)
+    )
+    out = new_plus_state(3).measure_z(1, np.random.default_rng(0))
+    assert calls == [1]
+    assert out.probability == pytest.approx(0.5)
 
 
 def test_rotated_post_state_projected():
