@@ -89,13 +89,9 @@ def _cmd_run(args) -> int:
     if args.noise:
         noise_model = noise_mod.load_noise_model(args.noise)
     coupling = load_coupling(args.coupling) if args.coupling else None
-    placement = None
-    if coupling is not None:
-        placement = (
-            _load_placement(args.placement)
-            if args.placement
-            else harness.default_placement(pattern)
-        )
+    placement = _load_placement(args.placement) if args.placement else None
+    if coupling is not None and placement is None:
+        placement = harness.default_placement(pattern)
 
     config = harness.ExperimentConfig(
         mode=args.mode,

@@ -23,17 +23,19 @@ from .pattern import (
     FlowMap,
     MeasurementPattern,
     OpenGraph,
+    interactive_rows,
     random_pattern,
-    run_interactive,
     validate_flow,
 )
 from .protocol import (
     enumerate_branches,
+    qfhe_rows,
     run_qfhe_detailed,
     total_variation,
 )
 
 MODES = ("interactive", "qfhe", "qfhe-circuit", "qfhe-circuit-noisy")
+CIRCUIT_MODES = ("qfhe-circuit", "qfhe-circuit-noisy")
 
 DEFAULT_SHOTS = 1000
 DEFAULT_SEED = 0
@@ -64,6 +66,18 @@ class ExperimentConfig:
         for v in self.inputs:
             if not 0 <= v < hi:
                 raise ValueError(f"input {v} outside 0..{hi - 1}")
+        # An option the mode never reads is a mistake, not a no-op.
+        unused = {
+            "noise": self.noise is not None and self.mode != "qfhe-circuit-noisy",
+            "coupling": self.coupling is not None and self.mode not in CIRCUIT_MODES,
+            "placement": self.placement is not None and self.mode not in CIRCUIT_MODES,
+            "dump_transcript": self.dump_transcript and self.mode != "qfhe",
+        }
+        for name, ignored in unused.items():
+            if ignored:
+                raise ValueError(f"{name} does not apply to mode {self.mode}")
+        if self.placement is not None and self.coupling is None:
+            raise ValueError("placement requires a coupling map")
 
 
 @dataclass
@@ -129,8 +143,24 @@ def default_placement(pattern: MeasurementPattern) -> dict:
     return dict(pattern.plan.wire_of)
 
 
+# Amplitude bytes one chunk of shot rows may hold, whatever the shot count.
+SHOT_CHUNK_BYTES = 1 << 20
+
+
+def rows_per_chunk(num_qubits: int) -> int:
+    """Shots per chunk: registers of `num_qubits` the budget holds, at least 1."""
+    return max(1, SHOT_CHUNK_BYTES // (16 << num_qubits))
+
+
 def _seed_for(seed: int, input_value: int, shot: int) -> np.random.Generator:
     return np.random.default_rng([seed, input_value, shot])
+
+
+def _shot_chunks(config: ExperimentConfig, value: int, rows: int):
+    """Each shot's own generator, in chunks of at most `rows` shots."""
+    for start in range(0, config.shots, rows):
+        stop = min(start + rows, config.shots)
+        yield [_seed_for(config.seed, value, shot) for shot in range(start, stop)]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
@@ -143,6 +173,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
     )
     server_marginals: dict[int, list[float]] = {}
     transcript_text: str | None = None
+    if config.mode == "qfhe" and config.dump_transcript:
+        first = config.inputs[0]
+        run = run_qfhe_detailed(
+            pattern, input_bits_of(pattern, first), _seed_for(config.seed, first, 0)
+        )
+        transcript_text = run.transcript.serialize()
 
     for value in config.inputs:
         bits = input_bits_of(pattern, value)
@@ -151,20 +187,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
         raw_ones = [0] * len(outputs)
 
         if config.mode == "interactive":
-            for shot in range(config.shots):
-                rng = _seed_for(config.seed, value, shot)
-                _, out_bits = run_interactive(pattern, bits, rng)
-                _tally(ones, joint, out_bits)
+            rows = rows_per_chunk(len(pattern.graph.nodes))
+            for rngs in _shot_chunks(config, value, rows):
+                _, b, _ = interactive_rows(pattern, bits, rngs)
+                _tally_rows(ones, joint, [b[o] for o in outputs])
         elif config.mode == "qfhe":
-            for shot in range(config.shots):
-                rng = _seed_for(config.seed, value, shot)
-                want_tr = config.dump_transcript and transcript_text is None
-                run = run_qfhe_detailed(pattern, bits, rng, want_transcript=want_tr)
-                _tally(ones, joint, run.output_bits)
+            rows = rows_per_chunk(len(pattern.plan.wire_of))
+            for rngs in _shot_chunks(config, value, rows):
+                s, _, b = qfhe_rows(pattern, bits, rngs)
+                _tally_rows(ones, joint, [b[o] for o in outputs])
                 for k, o in enumerate(outputs):
-                    raw_ones[k] += run.server_view.raw_output_bits[o]
-                if transcript_text is None and config.dump_transcript:
-                    transcript_text = run.transcript.serialize()
+                    raw_ones[k] += int(s[o].sum())
             server_marginals[value] = [r / config.shots for r in raw_ones]
         else:
             compiled = compiler.compile_qfhe_to_circuit(
@@ -211,11 +244,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
     return table, {"report": report, "extras": extras}
 
 
-def _tally(ones: list[int], joint: dict[str, int], out_bits: list[int]) -> None:
-    for k, b in enumerate(out_bits):
-        ones[k] += b
-    key = "".join(str(b) for b in out_bits)
-    joint[key] = joint.get(key, 0) + 1
+def _tally_rows(ones: list[int], joint: dict[str, int], out_bits) -> None:
+    """Add one chunk of shots: ``out_bits[k]`` holds output k of every row."""
+    code = np.zeros(len(out_bits[0]), dtype=int)
+    for k, bits in enumerate(out_bits):
+        ones[k] += int(bits.sum())
+        code = (code << 1) | bits
+    for c, n in zip(*np.unique(code, return_counts=True)):
+        key = format(int(c), f"0{len(out_bits)}b")
+        joint[key] = joint.get(key, 0) + int(n)
 
 
 def _joint_from_counts(counts, output_positions, outputs) -> dict[str, int]:

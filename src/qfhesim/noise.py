@@ -27,6 +27,14 @@ DEFAULT_P_RO = 1e-2
 DEFAULT_P_IDLE = 8e-3
 
 
+_KEYS = ("p1", "p2", "p_ro", "p_idle")
+
+
+def _check_probability(name: str, v: float) -> None:
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} = {v} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate-class Pauli error probabilities and readout flip probability."""
@@ -37,10 +45,8 @@ class NoiseModel:
     p_idle: float = DEFAULT_P_IDLE
 
     def __post_init__(self):
-        for name in ("p1", "p2", "p_ro", "p_idle"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        for name in _KEYS:
+            _check_probability(name, getattr(self, name))
 
     @property
     def is_noiseless(self) -> bool:
@@ -48,7 +54,11 @@ class NoiseModel:
 
 
 def load_noise_model(path) -> NoiseModel:
-    """Parse ``p1 <v>`` style lines; missing keys keep their defaults."""
+    """Parse ``p1 <v>`` style lines; missing keys keep their defaults.
+
+    A malformed line, a value outside [0, 1] and a key given twice each
+    raise ``ValueError`` with ``path:line``.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -56,10 +66,14 @@ def load_noise_model(path) -> NoiseModel:
             if not line:
                 continue
             tokens = line.split()
-            if len(tokens) != 2 or tokens[0] not in ("p1", "p2", "p_ro", "p_idle"):
-                raise ValueError(f"{path}:{lineno}: expected 'p1|p2|p_ro|p_idle <value>'")
             try:
-                values[tokens[0]] = float(tokens[1])
+                if len(tokens) != 2 or tokens[0] not in _KEYS:
+                    raise ValueError("expected 'p1|p2|p_ro|p_idle <value>'")
+                key, text = tokens
+                if key in values:
+                    raise ValueError(f"{key} given twice")
+                values[key] = float(text)
+                _check_probability(key, values[key])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return NoiseModel(**values)

@@ -25,7 +25,7 @@ from math import pi
 import numpy as np
 
 from .circuit import Circuit, circuit, gate
-from .statevec import StateVector, new_plus_state
+from .statevec import ShotBatch, StateVector, new_plus_state
 
 # Angle grid: angles are k * pi/4.  Pattern files and deferred corrections
 # admit only the canonical set below; in-memory patterns may carry any k so
@@ -303,8 +303,9 @@ def _angle_to_k(phi: float) -> int:
     return k % 8
 
 
-def _corrected_angle_k(k: int, s_x: int, z_parity: int) -> int:
-    return ((-k if s_x else k) + 4 * z_parity) % 8
+def _corrected_angle_k(k: int, s_x, z_parity):
+    """(-1)^{s_x} k + 4 z_parity mod 8; bits may be ints or per-row arrays."""
+    return (k * (1 - 2 * s_x) + 4 * z_parity) % 8
 
 
 def _check_input_bits(pattern: MeasurementPattern, input_bits) -> list[int]:
@@ -339,6 +340,39 @@ def _prepare_graph_state(
     return sv
 
 
+def interactive_rows(
+    pattern: MeasurementPattern,
+    input_bits,
+    rngs,
+    measure_outputs: bool = True,
+):
+    """Interactive runs of one shot per generator, as rows of one ShotBatch.
+
+    Each row draws one uniform per measured node, in flow order, then one
+    per output when ``measure_outputs`` is set.  Returns ``(s, b, batch)``:
+    per node, the raw and the corrected bits of every row (they coincide on
+    measured nodes, whose angles are adapted), and the batch, which holds
+    only the output wires once the measured nodes are gone.
+    """
+    plan = pattern.plan
+    keys = input_keys(pattern, input_bits)
+    draws = len(pattern.flow.order)
+    if measure_outputs:
+        draws += len(pattern.graph.outputs)
+    batch = ShotBatch(_prepare_graph_state(pattern), rngs, draws)
+    s: dict = {}
+    b: dict = {}
+    for i in pattern.flow.order:
+        x, z = plan.byproducts(i, b, keys)
+        k_eff = _corrected_angle_k(pattern.angles[i], x, z)
+        s[i] = b[i] = batch.measure(plan.wire_of[i], k_eff * pi / 4)
+    if measure_outputs:
+        for o in pattern.graph.outputs:
+            s[o] = batch.measure(plan.wire_of[o])
+            b[o] = plan.corrected_output(o, s[o], b)
+    return s, b, batch
+
+
 def run_interactive(
     pattern: MeasurementPattern,
     input_bits,
@@ -353,61 +387,29 @@ def run_interactive(
     ledger's ``s`` and ``b`` coincide.
     """
     plan = pattern.plan
+    s, b, batch = interactive_rows(pattern, input_bits, [rng], not keep_quantum_output)
+    ledger = OutcomeLedger(
+        s={v: int(bits[0]) for v, bits in s.items()},
+        b={v: int(bits[0]) for v, bits in b.items()},
+    )
+    outputs = pattern.graph.outputs
+    if not keep_quantum_output:
+        return ledger, [ledger.b[o] for o in outputs]
+    # The batch holds the output wires alone; axis a of its (2,)*n view is
+    # qubit n-1-a.  Put output k on qubit k, then apply the byproducts.
+    n = len(outputs)
+    axis_of = {w: n - 1 - q for q, w in enumerate(batch.wires)}
+    amps = batch.amps[0].reshape((2,) * n)
+    amps = amps.transpose([axis_of[plan.wire_of[o]] for o in reversed(outputs)])
+    sv = StateVector(n, amps.reshape(-1))
     keys = input_keys(pattern, input_bits)
-    sv = _prepare_graph_state(pattern)
-    qubit_of = plan.wire_of
-    ledger = OutcomeLedger()
-
-    for i in pattern.flow.order:
-        x, z = plan.byproducts(i, ledger.b, keys)
-        k_eff = _corrected_angle_k(pattern.angles[i], x, z)
-        out = sv.measure_rotated(qubit_of[i], k_eff * pi / 4, rng)
-        ledger.s[i] = out.bit
-        ledger.b[i] = out.bit
-
-    if keep_quantum_output:
-        for o in pattern.graph.outputs:
-            x, z = plan.byproducts(o, ledger.b, keys)
-            if x:
-                sv.apply_gate("x", (qubit_of[o],))
-            if z:
-                sv.apply_gate("z", (qubit_of[o],))
-        return ledger, _extract_output_state(sv, pattern)
-
-    output_bits = []
-    for o in pattern.graph.outputs:
-        out = sv.measure_z(qubit_of[o], rng)
-        ledger.s[o] = out.bit
-        ledger.b[o] = plan.corrected_output(o, out.bit, ledger.b)
-        output_bits.append(ledger.b[o])
-    return ledger, output_bits
-
-
-def _extract_output_state(sv: StateVector, pattern: MeasurementPattern) -> StateVector:
-    """Pure state on the output qubits once every other qubit is collapsed."""
-    out_qubits = [pattern.plan.wire_of[o] for o in pattern.graph.outputs]
-    n = sv.num_qubits
-    amps = sv.amps
-    # Each collapsed qubit is in a pure single-qubit state, so the register
-    # factors as (measured part) x (outputs); slicing along the measured
-    # bits of the largest amplitude leaves a vector proportional to the
-    # output state.
-    ref = int(np.argmax(np.abs(amps)))
-    others_mask = 0
-    for q in range(n):
-        if q not in out_qubits:
-            others_mask |= ((ref >> q) & 1) << q
-    dim = 1 << len(out_qubits)
-    reduced = np.zeros(dim, dtype=complex)
-    for idx in range(dim):
-        full = others_mask
-        for pos, q in enumerate(out_qubits):
-            full |= ((idx >> pos) & 1) << q
-        reduced[idx] = amps[full]
-    nrm = np.linalg.norm(reduced)
-    if nrm < 1e-9:
-        raise RuntimeError("output register is not in a product state with the rest")
-    return StateVector(len(out_qubits), reduced / nrm)
+    for k, o in enumerate(outputs):
+        x, z = plan.byproducts(o, ledger.b, keys)
+        if x:
+            sv.apply_gate("x", (k,))
+        if z:
+            sv.apply_gate("z", (k,))
+    return ledger, sv
 
 
 def j_alpha_pattern(alpha: float) -> MeasurementPattern:

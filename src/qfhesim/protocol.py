@@ -33,7 +33,7 @@ from .pattern import (
     _prepare_graph_state,
     input_keys,
 )
-from .statevec import StateVector, Y_BASIS_ANGLE
+from .statevec import ShotBatch, StateVector, Y_BASIS_ANGLE
 
 DIST_TOL = 1e-9
 MAX_ENUMERATED_MEASUREMENTS = 12
@@ -133,15 +133,15 @@ def _corrected_bit(
     family = plan.family[node]
     acc = s[node]
     if node in keys:
-        acc ^= keys[node]
+        acc = acc ^ keys[node]
     for j in plan.zdeps[node]:
-        acc ^= b[j]
+        acc = acc ^ b[j]
     if family == "z":
         return acc
     if family == "pred":
         p = plan.pred[node]
         if p is not None and not drop_pred_term:
-            acc ^= b[p]
+            acc = acc ^ b[p]
         return acc
     if family == "gadget":
         if node not in alpha:
@@ -208,6 +208,42 @@ def _prepare_protocol_state(
     return sv
 
 
+def qfhe_rows(pattern: MeasurementPattern, input_bits, rngs):
+    """Protocol runs of one shot per generator, as rows of one ShotBatch.
+
+    Each row draws one uniform per measured node in flow order, then one
+    per output, then one per companion in flow order.  Returns ``(s, alpha,
+    b)``: per node, the bits of every row; ``s`` holds the server's raw
+    outcomes and then its raw output readouts, ``alpha`` the companion
+    outcomes, ``b`` the corrected bits.
+    """
+    plan = pattern.plan
+    keys = input_keys(pattern, encode_input(input_bits))
+    order, outputs = pattern.flow.order, pattern.graph.outputs
+    draws = len(order) + len(outputs) + len(pattern.quarter_nodes)
+    batch = ShotBatch(_prepare_protocol_state(pattern), rngs, draws)
+
+    # Server phase: default angles throughout, outputs read computationally.
+    s: dict = {}
+    for i in order:
+        s[i] = batch.measure(plan.wire_of[i], pattern.angle_rad(i))
+    for o in outputs:
+        s[o] = batch.measure(plan.wire_of[o])
+
+    # Client phase: companions in the X or Y basis, then the corrections.
+    alpha: dict = {}
+    b: dict = {}
+    for i in order:
+        if plan.family[i] == "gadget":
+            y_basis = plan.byproducts(i, b, keys)[0]
+            companion = plan.wire_of[("companion", i)]
+            alpha[i] = batch.measure(companion, Y_BASIS_ANGLE * y_basis)
+        b[i] = _corrected_bit(pattern, i, s, b, alpha, keys)
+    for o in outputs:
+        b[o] = plan.corrected_output(o, s[o], b)
+    return s, alpha, b
+
+
 def run_qfhe_detailed(
     pattern: MeasurementPattern,
     input_bits,
@@ -216,79 +252,57 @@ def run_qfhe_detailed(
 ) -> QfheRun:
     """One protocol run: server phase, companion hand-back, client corrections.
 
-    ``want_transcript`` skips message logging for bulk shot loops; outcomes
-    are unaffected (no random draws depend on it).
+    The one-row case of ``qfhe_rows``.  ``want_transcript`` skips message
+    logging; outcomes are unaffected (no random draws depend on it).
     """
     plan = pattern.plan
     bits = encode_input(input_bits)
     keys = input_keys(pattern, bits)
-    sv = _prepare_protocol_state(pattern)
-    wire_of = plan.wire_of
+    s, alpha, b = (
+        {v: int(row[0]) for v, row in d.items()}
+        for d in qfhe_rows(pattern, input_bits, [rng])
+    )
+    order, outputs = pattern.flow.order, pattern.graph.outputs
+    basis_choices = {i: client_basis(plan.byproducts(i, b, keys)[0]) for i in alpha}
 
     tr = ProtocolTranscript()
-    log = tr.add if want_transcript else (lambda *args: None)
-    log("c2s", "nodes", " ".join(str(v) for v in pattern.graph.nodes))
-    log("c2s", "edges", " ".join(f"{a}-{b}" for a, b in pattern.graph.edges))
-    log(
-        "c2s",
-        "angles",
-        " ".join(f"{v}:{pattern.angles[v]}" for v in pattern.flow.order),
-    )
-    if pattern.quarter_nodes:
-        log("c2s", "companions", " ".join(str(v) for v in pattern.quarter_nodes))
-    log("c2s", "order", " ".join(str(v) for v in pattern.flow.order))
+    if want_transcript:
+        log = tr.add
+        log("c2s", "nodes", " ".join(str(v) for v in pattern.graph.nodes))
+        log("c2s", "edges", " ".join(f"{u}-{v}" for u, v in pattern.graph.edges))
+        log("c2s", "angles", " ".join(f"{v}:{pattern.angles[v]}" for v in order))
+        if pattern.quarter_nodes:
+            log("c2s", "companions", " ".join(str(v) for v in pattern.quarter_nodes))
+        log("c2s", "order", " ".join(str(v) for v in order))
+        for i in order:
+            log("s2c", "outcome", f"{i} {s[i]}")
+        for o in outputs:
+            log("s2c", "output-raw", f"{o} {s[o]}")
+        for node in pattern.quarter_nodes:
+            log("s2c", "companion-return", str(node))
+        for i in order:
+            if i in alpha:
+                log("client", "basis", f"{i} {basis_choices[i]}")
+                log("client", "companion-outcome", f"{i} {alpha[i]}")
+            log("client", "corrected", f"{i} {b[i]}")
+        for o in outputs:
+            log("client", "output", f"{o} {b[o]}")
 
-    # Server phase: default angles throughout, outputs read computationally.
-    s: dict[int, int] = {}
-    for i in pattern.flow.order:
-        out = sv.measure_rotated(wire_of[i], pattern.angle_rad(i), rng)
-        s[i] = out.bit
-        log("s2c", "outcome", f"{i} {out.bit}")
-    raw_outputs: dict[int, int] = {}
-    for o in pattern.graph.outputs:
-        out = sv.measure_z(wire_of[o], rng)
-        raw_outputs[o] = out.bit
-        log("s2c", "output-raw", f"{o} {out.bit}")
-    for node in pattern.quarter_nodes:
-        log("s2c", "companion-return", str(node))
-
-    # Client phase: companion measurements and the correction recursion.
-    ledger = OutcomeLedger(s=dict(s) | dict(raw_outputs))
-    alpha: dict[int, int] = {}
-    basis_choices: dict[int, str] = {}
-    b: dict[int, int] = {}
-    for i in pattern.flow.order:
-        if plan.family[i] == "gadget":
-            basis = client_basis(plan.byproducts(i, b, keys)[0])
-            basis_choices[i] = basis
-            out = sv.measure_pauli_basis(wire_of[("companion", i)], basis, rng)
-            alpha[i] = out.bit
-            log("client", "basis", f"{i} {basis}")
-            log("client", "companion-outcome", f"{i} {out.bit}")
-        b[i] = _corrected_bit(pattern, i, s, b, alpha, keys)
-        log("client", "corrected", f"{i} {b[i]}")
-    for o in pattern.graph.outputs:
-        b[o] = plan.corrected_output(o, raw_outputs[o], b)
-        log("client", "output", f"{o} {b[o]}")
-
-    ledger.b = b
-    ledger.alpha = dict(alpha)
     server_view = ServerView(
         nodes=pattern.graph.nodes,
         edges=pattern.graph.edges,
         default_angles=dict(pattern.angles),
-        raw_outcomes=dict(s),
-        raw_output_bits=dict(raw_outputs),
+        raw_outcomes={i: s[i] for i in order},
+        raw_output_bits={o: s[o] for o in outputs},
     )
     client = ClientState(
         input_bits=bits,
         z_keys=keys,
         alpha=alpha,
-        ledger=ledger,
+        ledger=OutcomeLedger(s=s, b=b, alpha=dict(alpha)),
         basis_choices=basis_choices,
     )
-    output_bits = [b[o] for o in pattern.graph.outputs]
-    return QfheRun(output_bits, server_view, tr, client)
+    return QfheRun([b[o] for o in outputs], server_view, tr, client)
 
 
 def run_qfhe(

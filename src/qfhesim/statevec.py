@@ -9,8 +9,9 @@ Conventions shared by the whole package:
   ``rz(pi/4) == t`` and ``rz(pi/2) == s`` hold exactly.
 * A rotated measurement at angle ``phi`` projects onto
   ``|+_phi> = (|0> + e^{i phi}|1>)/sqrt(2)`` (outcome 0) and
-  ``|-_phi> = (|0> - e^{i phi}|1>)/sqrt(2)`` (outcome 1).  It is realised as
-  ``rz(-phi)``, ``h``, computational readout, frame restored afterwards.
+  ``|-_phi> = (|0> - e^{i phi}|1>)/sqrt(2)`` (outcome 1).  ``StateVector``
+  realises it as ``rz(-phi)``, ``h``, computational readout, frame restored
+  afterwards; ``ShotBatch`` projects onto it directly.
 * The Y readout basis is the rotated basis at ``phi = 3*pi/2``, i.e.
   outcome 0 corresponds to ``(|0> - i|1>)/sqrt(2)``.  The X basis is
   ``phi = 0``.
@@ -242,6 +243,54 @@ class StateVector:
             raise ValueError(f"basis must be 'X' or 'Y', got {basis!r}")
         phi = 0.0 if basis == "X" else Y_BASIS_ANGLE
         return self.measure_rotated(q, phi, rng)
+
+
+class ShotBatch:
+    """One prepared register per row, one shot per row; measured wires drop out.
+
+    ``amps`` has one row per shot, or a single row while every shot still
+    holds the prepared register; ``wires`` names the wires of that register
+    still present, in qubit order.  Each row owns its generator and draws
+    all ``draws`` of its uniforms up front, which leaves the stream where
+    ``draws`` single ``random()`` calls would; ``measure`` reads them one
+    column per call, in call order.
+    """
+
+    __slots__ = ("wires", "amps", "uniforms", "_column")
+
+    def __init__(self, state: StateVector, rngs, draws: int):
+        self.wires = list(range(state.num_qubits))
+        self.amps = state.amps[None, :]
+        self.uniforms = np.array([rng.random(draws) for rng in rngs])
+        self._column = 0
+
+    def measure(self, wire: int, phi=None) -> np.ndarray:
+        """Measure `wire` of every row and drop it; returns the bits per row.
+
+        ``phi`` (a scalar or one angle per row) projects onto |+_phi>
+        (bit 0) or |-_phi> (bit 1); None reads the computational basis.
+        Bits follow ``measure_z``: 1 when the row's uniform is below p1,
+        the other bit when that branch has p <= ZERO_BRANCH_P.  Each row
+        keeps its chosen half, renormalized.
+        """
+        q = self.wires.index(wire)
+        view = self.amps.reshape(len(self.amps), -1, 2, 1 << q)
+        a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+        half = 1.0
+        if phi is not None:
+            # sqrt(2) times the projections onto |+_phi> and |-_phi>.
+            w = np.exp(-1j * np.reshape(phi, (-1, 1, 1))) * a1
+            a0, a1 = a0 + w, a0 - w
+            half = 0.5
+        p1 = half * (a1.real**2 + a1.imag**2).sum(axis=(1, 2))
+        bit = self.uniforms[:, self._column] < p1
+        self._column += 1
+        bit ^= np.where(bit, p1, 1.0 - p1) <= ZERO_BRANCH_P
+        p = np.where(bit, p1, 1.0 - p1)
+        kept = np.where(bit[:, None, None], a1, a0) * np.sqrt(half / p)[:, None, None]
+        self.amps = kept.reshape(len(bit), -1)
+        del self.wires[q]
+        return bit.astype(int)
 
 
 def new_plus_state(n: int) -> StateVector:

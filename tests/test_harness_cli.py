@@ -1,12 +1,14 @@
 """Experiment driver, reports, comparison statistics, CLI, selftest."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qfhesim.harness import (
     CountsTable,
@@ -292,6 +294,18 @@ def _run_with_placement(text):
     return args
 
 
+def _run_with_file(flag, name, text, mode="qfhe"):
+    def args(tmp_path):
+        (tmp_path / name).write_text(text)
+        argv = _run_args(tmp_path, flag, str(tmp_path / name))
+        argv[argv.index("--mode") + 1] = mode
+        return argv
+
+    return args
+
+
+LADDER = str(REPO / "couplings" / "ladder16.txt")
+
 BAD_REQUESTS = {
     "missing-pattern": lambda t: _run_args(t, pattern=str(t / "missing.txt")),
     "report-missing-keys": _compare_reports_missing_keys,
@@ -300,6 +314,25 @@ BAD_REQUESTS = {
     "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
     "placement-bad-label": _run_with_placement("x1 3\n"),
     "placement-repeated-label": _run_with_placement("1 0\n1 3\n"),
+    "noise-outside-noisy-mode": _run_with_file("--noise", "noise.txt", "p2 0.5\n"),
+    "coupling-outside-circuit-modes": lambda t: _run_args(t, "--coupling", LADDER),
+    "placement-outside-circuit-modes": _run_with_file(
+        "--placement", "placement.txt", "1 0\n", "interactive"
+    ),
+    "placement-without-coupling": _run_with_file(
+        "--placement", "placement.txt", "1 0\n", "qfhe-circuit"
+    ),
+    "placement-missing-file": lambda t: _run_args(t, "--placement", str(t / "no.txt")),
+    "transcript-outside-qfhe": lambda t: [
+        "run", "--mode", "interactive", "--pattern", "reference", "--shots", "2",
+        "--dump-transcript", "--out", str(t / "out"),
+    ],
+    "noise-out-of-range": _run_with_file(
+        "--noise", "noise.txt", "p1 2\n", "qfhe-circuit-noisy"
+    ),
+    "noise-repeated-key": _run_with_file(
+        "--noise", "noise.txt", "p1 0.1\np1 0.2\n", "qfhe-circuit-noisy"
+    ),
 }
 
 
@@ -330,6 +363,25 @@ def test_placement_errors_name_path_and_line(tmp_path, text, where):
     with pytest.raises(ValueError) as err:
         _load_placement(str(path))
     assert str(err.value).startswith(f"{path}{where}")
+
+
+PLACEMENT_TOKENS = ["1", "c4", "c", "x1", "0", "15", "-2", "3.5", "#", "", "1 2 3"]
+
+
+@settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(st.lists(st.sampled_from(PLACEMENT_TOKENS), max_size=3), max_size=6))
+def test_placement_reader_fuzz(tmp_path, lines):
+    path = tmp_path / "placement.txt"
+    path.write_text("\n".join(" ".join(tokens) for tokens in lines) + "\n")
+    try:
+        _load_placement(str(path))
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(exc)), exc
 
 
 def test_cli_compare_flags_disagreement(tmp_path):

@@ -1,7 +1,10 @@
 """Trajectory noise channels and noisy execution."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qfhesim.circuit import circuit, exact_readout_distribution, gate, measure
 from qfhesim.harness import two_sample_chi2_p
@@ -34,6 +37,47 @@ def test_noise_config_file(tmp_path):
     path.write_text("p9 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1"):
         load_noise_model(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("p1 2\n", ":1: p1 = 2.0 outside [0, 1]"),
+        ("p2 0.1\n\n# again\np_ro -0.5\n", ":4: p_ro = -0.5 outside [0, 1]"),
+        ("p1 0.1\np1 0.2\n", ":2: p1 given twice"),
+        ("p_idle nan\n", ":1: p_idle = nan outside [0, 1]"),
+        ("p2 x\n", ":1: could not convert string to float"),
+        ("p2\n", ":1: expected 'p1|p2|p_ro|p_idle <value>'"),
+    ],
+)
+def test_noise_errors_name_path_and_line(tmp_path, text, where):
+    path = tmp_path / "noise.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_noise_model(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
+
+NOISE_KEYS = ("p1", "p2", "p_ro", "p_idle")
+NOISE_TOKENS = [*NOISE_KEYS, "p9", "0", "0.5", "1", "2", "-1e-3", "nan", "#", "x"]
+
+
+@settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(st.lists(st.sampled_from(NOISE_TOKENS), max_size=3), max_size=6))
+def test_noise_reader_fuzz(tmp_path, lines):
+    path = tmp_path / "noise.txt"
+    path.write_text("\n".join(" ".join(tokens) for tokens in lines) + "\n")
+    try:
+        model = load_noise_model(path)
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(exc)), exc
+    else:
+        assert all(0.0 <= getattr(model, k) <= 1.0 for k in NOISE_KEYS)
 
 
 def test_depolarize_zero_probability_is_identity():

@@ -158,6 +158,29 @@ def test_corrections_zdep_parity():
     assert b[7] == s[7] ^ b[4]
 
 
+def test_corrected_bit_leaves_array_inputs_unchanged():
+    # Batched shots hold one bit array per node; correcting must not write
+    # through to the raw outcomes or the corrected bits it reads.
+    ref = reference_pattern()
+    rng = np.random.default_rng(35)
+    s = {v: rng.integers(0, 2, size=6) for v in ref.graph.nodes}
+    alpha = {v: rng.integers(0, 2, size=6) for v in ref.quarter_nodes}
+    keys = {1: 1, 2: 1, 3: 0}
+    before = {v: bits.copy() for v, bits in s.items()}
+    b = {}
+    for i in ref.flow.order:
+        b[i] = protocol._corrected_bit(ref, i, s, b, alpha, keys)
+    assert all(np.array_equal(s[v], before[v]) for v in s)
+    for row in range(6):
+        scalar = deferred_corrections(
+            ref,
+            {v: int(bits[row]) for v, bits in s.items()},
+            {v: int(bits[row]) for v, bits in alpha.items()},
+            [1, 1, 0],
+        )
+        assert all(scalar[i] == b[i][row] for i in ref.flow.order)
+
+
 # -- protocol runs ----------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from math import pi, sqrt
 from qfhesim.statevec import (
     GATES_1Q,
     GATES_2Q,
+    ShotBatch,
     StateVector,
     Y_BASIS_ANGLE,
     gate_matrix,
@@ -254,6 +255,70 @@ def test_measure_z_reports_the_branch_it_projects(p1, u):
     assert rng.calls == 1
     assert out.probability > 0.5
     assert sv.probability_one(0) == pytest.approx(out.bit, abs=1e-12)
+
+
+class FixedDraws:
+    """Generator stand-in for ShotBatch: every uniform it draws is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("p1", [0.0, 1e-16, 1 - 1e-16])
+@pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
+def test_shot_batch_reports_the_branch_measure_z_reports(p1, u):
+    amps = [sqrt(1 - p1), sqrt(p1)]
+    want = StateVector(1, amps).measure_z(0, FixedDraw(u)).bit
+    batch = ShotBatch(StateVector(1, amps), [FixedDraws(u)], 1)
+    assert batch.measure(0).tolist() == [want]
+    assert batch.wires == [] and batch.amps.shape == (1, 1)
+    assert abs(batch.amps[0, 0]) == pytest.approx(1.0)
+
+
+def test_shot_batch_matches_scalar_measurements():
+    # Every row of the batch must read the bits the scalar register reads
+    # from the same generator, in the rz/H frame, wire by wire.
+    rng = np.random.default_rng(14)
+    n, rows = 5, 16
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    order = [3, 0, 4, 1, 2]
+    phis = rng.uniform(0, 2 * pi, size=(n, rows))
+    rngs = [np.random.default_rng([7, r]) for r in range(rows)]
+    batch = ShotBatch(StateVector(n, amps), rngs, n)
+    bits = []
+    for step, wire in enumerate(order):
+        bits.append(batch.measure(wire, None if step == 2 else phis[step]))
+    for r in range(rows):
+        sv, draw = StateVector(n, amps), np.random.default_rng([7, r])
+        for step, wire in enumerate(order):
+            if step == 2:
+                out = sv.measure_z(wire, draw)
+            else:
+                out = sv.measure_rotated(wire, phis[step][r], draw)
+            assert out.bit == bits[step][r]
+
+
+def test_shot_batch_keeps_the_projected_rest():
+    rng = np.random.default_rng(15)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps /= np.linalg.norm(amps)
+    rngs = [np.random.default_rng(r) for r in range(4)]
+    batch = ShotBatch(StateVector(3, amps), rngs, 1)
+    bits = batch.measure(1, pi / 4)
+    assert batch.wires == [0, 2]
+    for r, bit in enumerate(bits):
+        sv = StateVector(3, amps)
+        p = sv.project_rotated(1, pi / 4, int(bit))
+        # The scalar register keeps qubit 1 in |+-_phi>; contract it away.
+        view = sv.amps.reshape(2, 2, 2)
+        sign = -1 if bit else 1
+        rest = (view[:, 0, :] + sign * np.exp(-1j * pi / 4) * view[:, 1, :]) / sqrt(2)
+        assert p > 0
+        assert np.allclose(batch.amps[r], rest.reshape(-1), atol=1e-12)
 
 
 def test_measure_z_reduces_over_the_register_once(monkeypatch):
