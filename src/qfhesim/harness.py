@@ -10,12 +10,12 @@ it cannot break reproducibility.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from . import compiler, noise as noise_mod
 from .circuit import CouplingMap, parity_postprocess, sample_counts
@@ -33,6 +33,7 @@ from .protocol import (
     run_qfhe_detailed,
     total_variation,
 )
+from .statevec import SHOT_CHUNK_BYTES, rows_per_chunk  # the budget, re-exported
 
 MODES = ("interactive", "qfhe", "qfhe-circuit", "qfhe-circuit-noisy")
 CIRCUIT_MODES = ("qfhe-circuit", "qfhe-circuit-noisy")
@@ -141,15 +142,6 @@ def default_placement(pattern: MeasurementPattern) -> dict:
         }
     # First-fit for other patterns routed onto ladders or rings.
     return dict(pattern.plan.wire_of)
-
-
-# Amplitude bytes one chunk of shot rows may hold, whatever the shot count.
-SHOT_CHUNK_BYTES = 1 << 20
-
-
-def rows_per_chunk(num_qubits: int) -> int:
-    """Shots per chunk: registers of `num_qubits` the budget holds, at least 1."""
-    return max(1, SHOT_CHUNK_BYTES // (16 << num_qubits))
 
 
 def _seed_for(seed: int, input_value: int, shot: int) -> np.random.Generator:
@@ -278,7 +270,8 @@ def two_sample_chi2_p(ones_a: int, n_a: int, ones_b: int, n_b: int) -> float:
     if denom == 0:
         return 1.0
     stat = n * (a * d - b * c) ** 2 / denom
-    return float(chi2_dist.sf(stat, df=1))
+    # The chi-squared survival function at one degree of freedom.
+    return math.erfc(math.sqrt(stat / 2))
 
 
 def compare_tables(a: CountsTable, b: CountsTable) -> dict:

@@ -5,6 +5,10 @@ the gate-class probability and applies a uniformly random non-identity Pauli
 on the touched wires; wires idling through a scheduling layer dephase with
 probability ``p_idle``; readout bits flip with probability ``p_ro``.  The
 all-zero model is exactly the noiseless channel.
+
+A Pauli event does not depend on the state, so each shot draws its events
+first; shots with the same events share one simulation, and trajectories
+share the states of their common prefix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .statevec import StateVector
+from .statevec import StateVector, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
 
@@ -79,6 +83,26 @@ def load_noise_model(path) -> NoiseModel:
     return NoiseModel(**values)
 
 
+def _pauli_code(num_wires: int, p: float, rng: np.random.Generator) -> int:
+    """The draw half of ``depolarize``: 0, or the code of the Pauli that fires.
+
+    One ``random()``, and when it falls below p one ``integers(3)`` (one
+    wire, codes 1..3) or ``integers(15)`` (two wires, codes 1..15).
+    """
+    if p <= 0.0 or rng.random() >= p:
+        return 0
+    return 1 + int(rng.integers(3 if num_wires == 1 else 15))
+
+
+def _apply_pauli(state: StateVector, wires, code: int) -> StateVector:
+    """The apply half: Pauli ``code & 3`` on the first wire, ``code >> 2`` on
+    the second (1, 2, 3 = X, Y, Z; 0 leaves the wire alone)."""
+    for w, a in zip(wires, (code & 3, code >> 2)):
+        if a:
+            state.apply_gate(_PAULIS[a - 1], (w,))
+    return state
+
+
 def depolarize(
     state: StateVector, wires, p: float, rng: np.random.Generator
 ) -> StateVector:
@@ -90,18 +114,7 @@ def depolarize(
     wires = tuple(wires)
     if len(wires) not in (1, 2):
         raise ValueError("depolarize acts on one or two wires")
-    if p <= 0.0 or rng.random() >= p:
-        return state
-    if len(wires) == 1:
-        state.apply_gate(_PAULIS[int(rng.integers(3))], wires)
-        return state
-    code = 1 + int(rng.integers(15))
-    a, b = code & 3, code >> 2
-    if a:
-        state.apply_gate(_PAULIS[a - 1], (wires[0],))
-    if b:
-        state.apply_gate(_PAULIS[b - 1], (wires[1],))
-    return state
+    return _apply_pauli(state, wires, _pauli_code(len(wires), p, rng))
 
 
 def flip_readout(bit: int, p_ro: float, rng: np.random.Generator) -> int:
@@ -142,18 +155,17 @@ def _compact_wires(circ: Circuit) -> tuple[Circuit, list[int]]:
     return Circuit(len(touched), new_ins), touched
 
 
-def noisy_execute(
-    circ: Circuit, model: NoiseModel, shots: int, rng: np.random.Generator
-) -> Counter:
-    """Sampled readout strings with per-shot Pauli insertion trajectories.
+def _program(circ: Circuit, model: NoiseModel):
+    """One trajectory's steps and noise sites, in the scalar loop's order.
 
-    Shots run on independent seed-derived streams, so the merged counts do
-    not depend on execution order.
+    Per scheduling layer: each gate, followed by its depolarizing site when
+    its error probability is positive, then one dephasing site per wire
+    idling through the layer (untouched by it and not yet measured) when
+    ``p_idle`` is positive.  ``steps`` holds ``(gate, wires, param)``, with
+    gate None at a site; ``sites`` holds ``(step, wires, p, fixed)`` in draw
+    order, ``fixed`` being the code of a dephasing site's Z (3) and 0 at a
+    depolarizing site, whose Pauli is drawn.
     """
-    circ.require_terminal_measurements()
-    if not circ.measurements:
-        raise ValueError("circuit has no measurements")
-    circ, _ = _compact_wires(circ)
     ins_of = circ.instructions
     layers = [[ins_of[idx] for idx in layer] for layer in schedule_layers(circ)]
     measured_in = {
@@ -162,48 +174,167 @@ def noisy_execute(
         for ins in layer
         if ins.gate == "measure"
     }
+    steps: list[tuple] = []
+    sites: list[tuple] = []
 
-    # Per layer: its gates with their error probability, then the wires
-    # idling through it (untouched by the layer and not yet measured).
-    program: list[tuple[list, list[int]]] = []
-    p1, p2 = model.p1, model.p2
+    def site(wires, p, fixed):
+        sites.append((len(steps), wires, p, fixed))
+        steps.append((None, wires, None))
+
     for layer_no, layer in enumerate(layers):
-        touched = {w for ins in layer for w in ins.wires}
-        gates = [
-            (ins.gate, ins.wires, ins.param, p1 if len(ins.wires) == 1 else p2)
-            for ins in layer
-            if ins.gate != "measure"
-        ]
-        idle = [
-            w
-            for w in range(circ.num_wires)
-            if w not in touched and measured_in.get(w, len(layers)) > layer_no
-        ]
-        program.append((gates, idle if model.p_idle > 0.0 else []))
+        for ins in layer:
+            if ins.gate == "measure":
+                continue
+            steps.append((ins.gate, ins.wires, ins.param))
+            p = model.p1 if len(ins.wires) == 1 else model.p2
+            if p > 0.0:
+                site(ins.wires, p, 0)
+        if model.p_idle > 0.0:
+            touched = {w for ins in layer for w in ins.wires}
+            for w in range(circ.num_wires):
+                if w not in touched and measured_in.get(w, len(layers)) > layer_no:
+                    site((w,), model.p_idle, 3)
+    return steps, sites
 
+
+def _signature(sites, rng: np.random.Generator) -> tuple:
+    """One shot's error events ``((step, code), ...)``, drawn without simulating.
+
+    A Pauli event does not depend on the state, so these are the scalar
+    loop's draws, made in its order, and they leave ``rng`` where it would.
+    """
+    events = []
+    for step, wires, p, fixed in sites:
+        if fixed:  # dephasing: its Z fires with probability p
+            code = fixed if rng.random() < p else 0
+        else:
+            code = _pauli_code(len(wires), p, rng)
+        if code:
+            events.append((step, code))
+    return tuple(events)
+
+
+def _run(state: StateVector, steps, start: int, stop: int, events: dict) -> None:
+    """Apply ``steps[start:stop]``, with the Pauli of each event in ``events``."""
+    for step in range(start, stop):
+        name, wires, param = steps[step]
+        if name is not None:
+            state.apply_gate(name, wires, param)
+        elif step in events:
+            _apply_pauli(state, wires, events[step])
+
+
+def _first_difference(a: tuple, b: tuple) -> int:
+    """The step at which the trajectories of two distinct signatures part."""
+    k = 0
+    while k < len(a) and k < len(b) and a[k] == b[k]:
+        k += 1
+    return min(event[0] for event in (*a[k : k + 1], *b[k : k + 1]))
+
+
+def _walk(num_wires: int, steps, signatures):
+    """Yield each distinct signature with the register at the end of its
+    trajectory.
+
+    A trajectory starts from the deepest held state on its path and, on its
+    way, keeps a copy at each step where a later signature parts from it;
+    copies no later signature can use are dropped.  Signatures run sorted
+    by their events, "no further event" ranking after every event, so those
+    sharing a state are neighbours and, budget allowing, each gate runs once
+    per distinct set of events before it.  At most
+    ``rows_per_chunk(num_wires)`` registers are held, the working one
+    included.  Where that budget is full no copy is kept, and a later
+    trajectory re-runs from an earlier copy or from |0...0>.  Every state is
+    the scalar loop's, operation for operation.
+    """
+    end = ((len(steps), 0),)
+    signatures = sorted(signatures, key=lambda events: events + end)
+    budget = rows_per_chunk(num_wires)
+    # parts[j]: the step where signature j + 1 parts from j (-1: none left).
+    # Signature m parts from j at min(parts[j:m]), so j keeps copies at the
+    # suffix minima of parts[j:], found through the next smaller entry.
+    parts = [_first_difference(a, b) for a, b in zip(signatures, signatures[1:])]
+    parts.append(-1)
+    smaller = [len(parts) - 1] * len(parts)
+    pending: list[int] = []
+    for j, step in enumerate(parts):
+        while pending and parts[pending[-1]] > step:
+            smaller[pending.pop()] = j
+        pending.append(j)
+
+    state = StateVector(num_wires)
+    held: list[tuple[int, StateVector]] = []
+    for j, events in enumerate(signatures):
+        # Start from the deepest held state, in the one working buffer.
+        if not held:
+            pos = 0
+            state.amps[:] = 0.0
+            state.amps[0] = 1.0
+        else:
+            pos, start = held[-1] if parts[j] >= held[-1][0] else held.pop()
+            state.amps[:] = start.amps
+        keep = []
+        t = j
+        while parts[t] > pos:
+            keep.append(parts[t])
+            t = smaller[t]
+        events_at = dict(events)
+        for step in reversed(keep):
+            _run(state, steps, pos, step, events_at)
+            pos = step
+            if len(held) + 1 < budget:
+                held.append((step, state.copy()))
+        _run(state, steps, pos, len(steps), events_at)
+        yield events, state
+        while held and held[-1][0] > parts[j]:
+            held.pop()
+
+
+def _readouts(
+    circ: Circuit, model: NoiseModel, shots: int, rng: np.random.Generator
+) -> list[str]:
+    """Each shot's readout string, in shot order (see ``noisy_execute``)."""
+    circ.require_terminal_measurements()
+    if not circ.measurements:
+        raise ValueError("circuit has no measurements")
+    circ, _ = _compact_wires(circ)
+    steps, sites = _program(circ, model)
     meas_wires = [ins.wires[0] for ins in circ.measurements]
+
+    # Each shot's draws in the scalar loop's order: its events, then the
+    # uniform that picks the basis state, then one per readout flip.
     seeds = rng.integers(0, 2**63, size=shots)
-    counts: Counter = Counter()
+    leaf_draws = 1 + (len(meas_wires) if model.p_ro > 0.0 else 0)
+    uniforms = np.empty((shots, leaf_draws))
+    shots_of: dict[tuple, list[int]] = {}
     for shot in range(shots):
         shot_rng = np.random.default_rng(seeds[shot])
-        sv = StateVector(circ.num_wires)
-        for gates, idle in program:
-            for name, wires, param, p in gates:
-                sv.apply_gate(name, wires, param)
-                if p > 0.0:
-                    depolarize(sv, wires, p, shot_rng)
-            for w in idle:
-                if shot_rng.random() < model.p_idle:
-                    sv.apply_gate("z", (w,))
-        probs = np.abs(sv.amps) ** 2
+        shots_of.setdefault(_signature(sites, shot_rng), []).append(shot)
+        uniforms[shot] = shot_rng.random(leaf_draws)
+
+    readouts = [""] * shots
+    for events, state in _walk(circ.num_wires, steps, shots_of):
+        probs = np.abs(state.amps) ** 2
         probs /= probs.sum()
-        outcome = int(np.searchsorted(np.cumsum(probs), shot_rng.random()))
-        outcome = min(outcome, len(probs) - 1)
-        string_bits = []
-        for w in meas_wires:
-            bit = (outcome >> w) & 1
+        cdf = np.cumsum(probs)
+        for shot in shots_of[events]:
+            u = uniforms[shot]
+            outcome = min(int(np.searchsorted(cdf, u[0])), len(probs) - 1)
+            bits = [(outcome >> w) & 1 for w in meas_wires]
             if model.p_ro > 0.0:
-                bit = flip_readout(bit, model.p_ro, shot_rng)
-            string_bits.append(str(bit))
-        counts["".join(string_bits)] += 1
-    return counts
+                bits = [b ^ 1 if f < model.p_ro else b for b, f in zip(bits, u[1:])]
+            readouts[shot] = "".join(map(str, bits))
+    return readouts
+
+
+def noisy_execute(
+    circ: Circuit, model: NoiseModel, shots: int, rng: np.random.Generator
+) -> Counter:
+    """Sampled readout strings with per-shot Pauli insertion trajectories.
+
+    Shots run on independent seed-derived streams, so the merged counts do
+    not depend on execution order.  A shot's events are drawn first, and
+    each distinct set of events is simulated once (``_walk``); every shot's
+    string equals that of simulating it alone.
+    """
+    return Counter(_readouts(circ, model, shots, rng))

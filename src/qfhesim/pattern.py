@@ -24,7 +24,7 @@ from math import pi
 
 import numpy as np
 
-from .circuit import Circuit, circuit, gate
+from .circuit import Circuit, circuit, final_state, gate
 from .statevec import ShotBatch, StateVector, new_plus_state
 
 # Angle grid: angles are k * pi/4.  Pattern files and deferred corrections
@@ -200,7 +200,8 @@ class PatternPlan:
     has none).  ``prep`` prepares that register from |0...0>: H on every
     node, a CNOT copy onto each companion (the Bell-pair construction), then
     CZ along every edge.  The dicts are shared by every run; do not mutate
-    them.
+    them.  ``register`` and ``graph_register``, the prepared states, are built
+    on first use and read-only.
     """
 
     pred: dict[int, int | None]
@@ -222,6 +223,26 @@ class PatternPlan:
         """Output rule: raw readout XOR the predecessor's corrected bit."""
         p = self.pred[o]
         return raw if p is None else raw ^ b[p]
+
+    @cached_property
+    def register(self) -> StateVector:
+        """The state ``prep`` leaves: the protocol's register."""
+        return _read_only(final_state(self.prep))
+
+    @cached_property
+    def graph_register(self) -> StateVector:
+        """The interactive register: |+> on every graph node, ``prep``'s CZs."""
+        nodes = sum(not isinstance(label, tuple) for label in self.wire_of)
+        sv = new_plus_state(nodes)
+        for ins in self.prep.gates:
+            if ins.gate == "cz":
+                sv.apply_gate("cz", ins.wires)
+        return _read_only(sv)
+
+
+def _read_only(sv: StateVector) -> StateVector:
+    sv.amps.flags.writeable = False
+    return sv
 
 
 @dataclass(frozen=True)
@@ -325,19 +346,28 @@ def input_keys(pattern: MeasurementPattern, input_bits) -> dict[int, int]:
     return dict(zip(pattern.graph.inputs, bits))
 
 
+def _with_input_flips(
+    register: StateVector, wire_of: dict, direct_input_bits: dict[int, int] | None
+) -> StateVector:
+    """A writable copy of a plan register; physical Z on inputs with bit 1.
+
+    A Z on a node commutes with its companion copy and the CZ edges and is an
+    exact sign flip, so applying it last gives amplitudes equal to those of
+    preparing |-> up front.
+    """
+    sv = register.copy()
+    for v, bit in (direct_input_bits or {}).items():
+        if bit:
+            sv.apply_gate("z", (wire_of[v],))
+    return sv
+
+
 def _prepare_graph_state(
     pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
 ) -> StateVector:
     """All-|+> register entangled along the edges; optional physical Z on inputs."""
-    qubit_of = pattern.plan.wire_of
-    sv = new_plus_state(len(pattern.graph.nodes))
-    if direct_input_bits:
-        for v, bit in direct_input_bits.items():
-            if bit:
-                sv.apply_gate("z", (qubit_of[v],))
-    for a, b in pattern.graph.edges:
-        sv.apply_gate("cz", (qubit_of[a], qubit_of[b]))
-    return sv
+    plan = pattern.plan
+    return _with_input_flips(plan.graph_register, plan.wire_of, direct_input_bits)
 
 
 def interactive_rows(
@@ -359,7 +389,7 @@ def interactive_rows(
     draws = len(pattern.flow.order)
     if measure_outputs:
         draws += len(pattern.graph.outputs)
-    batch = ShotBatch(_prepare_graph_state(pattern), rngs, draws)
+    batch = ShotBatch(plan.graph_register, rngs, draws)
     s: dict = {}
     b: dict = {}
     for i in pattern.flow.order:

@@ -25,12 +25,13 @@ from math import pi
 
 import numpy as np
 
-from .circuit import final_state, readout_code
+from .circuit import readout_code
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
     _corrected_angle_k,
     _prepare_graph_state,
+    _with_input_flips,
     input_keys,
 )
 from .statevec import ShotBatch, StateVector, Y_BASIS_ANGLE
@@ -195,17 +196,9 @@ def deferred_corrections(
 def _prepare_protocol_state(
     pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
 ) -> StateVector:
-    """The plan's register preparation; optional physical Z on inputs.
-
-    A Z on a node commutes with its companion copy and the CZ edges and is an
-    exact sign flip, so applying it last gives amplitudes equal to those of
-    preparing |-> up front.
-    """
-    sv = final_state(pattern.plan.prep)
-    for v, bit in (direct_input_bits or {}).items():
-        if bit:
-            sv.apply_gate("z", (pattern.plan.wire_of[v],))
-    return sv
+    """The plan's register preparation; optional physical Z on inputs."""
+    plan = pattern.plan
+    return _with_input_flips(plan.register, plan.wire_of, direct_input_bits)
 
 
 def qfhe_rows(pattern: MeasurementPattern, input_bits, rngs):
@@ -221,7 +214,7 @@ def qfhe_rows(pattern: MeasurementPattern, input_bits, rngs):
     keys = input_keys(pattern, encode_input(input_bits))
     order, outputs = pattern.flow.order, pattern.graph.outputs
     draws = len(order) + len(outputs) + len(pattern.quarter_nodes)
-    batch = ShotBatch(_prepare_protocol_state(pattern), rngs, draws)
+    batch = ShotBatch(plan.register, rngs, draws)
 
     # Server phase: default angles throughout, outputs read computationally.
     s: dict = {}

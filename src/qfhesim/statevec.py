@@ -27,6 +27,9 @@ import numpy as np
 MAX_QUBITS = 20
 # Branches at or below this probability are impossible: never projected onto.
 ZERO_BRANCH_P = 1e-15
+# Amplitude bytes the registers of one batch of shots or trajectories may
+# hold, whatever the shot count.
+SHOT_CHUNK_BYTES = 1 << 20
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -79,6 +82,11 @@ def gate_matrix(name: str, param: float | None = None) -> np.ndarray:
         m[[1, 2]] = m[[2, 1]]
         return m
     raise ValueError(f"unknown gate kind: {name!r}")
+
+
+def rows_per_chunk(num_qubits: int) -> int:
+    """Registers of `num_qubits` that ``SHOT_CHUNK_BYTES`` holds, at least 1."""
+    return max(1, SHOT_CHUNK_BYTES // (16 << num_qubits))
 
 
 @dataclass

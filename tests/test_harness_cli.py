@@ -1,6 +1,7 @@
 """Experiment driver, reports, comparison statistics, CLI, selftest."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -134,6 +135,32 @@ def test_chi2_examples():
     assert two_sample_chi2_p(0, 1000, 1000, 1000) < 1e-10
     assert two_sample_chi2_p(0, 1000, 0, 1000) == 1.0
     assert two_sample_chi2_p(1000, 1000, 1000, 1000) == 1.0
+
+
+def test_chi2_p_matches_scipy():
+    # Tables whose statistic runs over [0, 50], against chi2.sf at 1 dof.
+    stats = pytest.importorskip("scipy.stats")
+    seen = []
+    for ones_b in range(500, 700):
+        a, b, c, d = 500, 500, ones_b, 1000 - ones_b
+        stat = 2000 * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
+        want = stats.chi2.sf(stat, df=1)
+        assert two_sample_chi2_p(500, 1000, ones_b, 1000) == pytest.approx(want, rel=1e-12)
+        seen.append(stat)
+    assert min(seen) == 0.0 and max(seen) > 50.0
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, qfhesim, qfhesim.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(REPO / "src"), env.get("PYTHONPATH")) if part
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_compare_table_with_itself():
