@@ -170,6 +170,8 @@ def flow_order_from_partial(graph: OpenGraph, f: dict[int, int]) -> tuple[int, .
     succ: dict[int, set[int]] = {v: set() for v in measured}
     indeg = {v: 0 for v in measured}
     for x, fx in f.items():
+        if x not in succ:
+            raise FlowError(f"flow from {x}, which is not a measured node")
         after = {fx} | (graph.neighbours(fx) - {x})
         for y in after:
             if y in indeg and y not in succ[x]:
@@ -362,14 +364,6 @@ def _with_input_flips(
     return sv
 
 
-def _prepare_graph_state(
-    pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
-) -> StateVector:
-    """All-|+> register entangled along the edges; optional physical Z on inputs."""
-    plan = pattern.plan
-    return _with_input_flips(plan.graph_register, plan.wire_of, direct_input_bits)
-
-
 def interactive_rows(
     pattern: MeasurementPattern,
     input_bits,
@@ -503,14 +497,13 @@ def load_pattern(path) -> MeasurementPattern:
     angles: dict[int, int] = {}
     f: dict[int, int] = {}
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            kind, args = tokens[0], tokens[1:]
             try:
+                tokens = raw.decode("utf-8").split("#", 1)[0].split()
+                if not tokens:
+                    continue
+                kind, args = tokens[0], tokens[1:]
                 if kind == "node":
                     (v,) = map(int, args)
                     nodes.append(v)

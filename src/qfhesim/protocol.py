@@ -21,7 +21,7 @@ computational basis and corrected by their predecessor's b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
     _corrected_angle_k,
-    _prepare_graph_state,
     _with_input_flips,
     input_keys,
 )
-from .statevec import ShotBatch, StateVector, Y_BASIS_ANGLE
+from .statevec import ZERO_BRANCH_P, ShotBatch, Y_BASIS_ANGLE, halves
 
 DIST_TOL = 1e-9
 MAX_ENUMERATED_MEASUREMENTS = 12
@@ -193,14 +192,6 @@ def deferred_corrections(
     return _correct_all(pattern, s, alpha, keys, _drop_pred_term)
 
 
-def _prepare_protocol_state(
-    pattern: MeasurementPattern, direct_input_bits: dict[int, int] | None = None
-) -> StateVector:
-    """The plan's register preparation; optional physical Z on inputs."""
-    plan = pattern.plan
-    return _with_input_flips(plan.register, plan.wire_of, direct_input_bits)
-
-
 def qfhe_rows(pattern: MeasurementPattern, input_bits, rngs):
     """Protocol runs of one shot per generator, as rows of one ShotBatch.
 
@@ -308,13 +299,23 @@ def run_qfhe(
 # -- exact branch enumeration (the master oracle) ------------------------
 
 
-def _branches(sv: StateVector, q: int, phi: float):
-    """(bit, probability, collapsed copy) for each possible outcome on q."""
-    for bit in (0, 1):
-        nxt = sv.copy()
-        p = nxt.project_rotated(q, phi, bit)
-        if p > 0.0:
-            yield bit, p, nxt
+def _split(amps: np.ndarray, wires: list, wire, phi, bits) -> tuple:
+    """Split every row on `wire`: ``(rows, outcome of each row)``.
+
+    A row's halves, unnormalized, go to the |+_phi> (bit 0) rows, then the
+    |-_phi> (bit 1) rows; `wire` leaves `wires`.  Rows of probability at
+    most ZERO_BRANCH_P are dropped, and the per-row arrays in each dict of
+    ``bits`` are doubled and filtered with the rows.
+    """
+    q = wires.index(wire)
+    a0, a1, half = halves(amps, q, phi)
+    del wires[q]
+    amps = np.concatenate((a0, a1)).reshape(2 * len(amps), -1) * sqrt(half)
+    keep = (amps.real**2 + amps.imag**2).sum(axis=1) > ZERO_BRANCH_P
+    for per_row in bits:
+        for v, row_bits in per_row.items():
+            per_row[v] = np.tile(row_bits, 2)[keep]
+    return amps[keep], np.repeat((0, 1), len(keep) // 2)[keep]
 
 
 def _walk_branches(
@@ -329,7 +330,9 @@ def _walk_branches(
     measures at default angles, branches on each companion in the client's
     basis and yields deferred-corrected outputs; ``raw`` walks the protocol
     register at default angles without touching the companions and yields
-    the server's raw readouts.
+    the server's raw readouts.  The walk is breadth-first: each row of
+    ``amps`` is one unnormalized branch, so the rows together never hold
+    more than the register's 2^n amplitudes.
     """
     plan = pattern.plan
     keys = input_keys(pattern, encode_input(input_bits))
@@ -337,54 +340,41 @@ def _walk_branches(
     if direct_input_prep:
         direct = dict(keys)
         keys = {v: 0 for v in keys}
-    if mode == "interactive":
-        sv0 = _prepare_graph_state(pattern, direct)
-    else:
-        sv0 = _prepare_protocol_state(pattern, direct)
+    register = plan.graph_register if mode == "interactive" else plan.register
+    sv0 = _with_input_flips(register, plan.wire_of, direct)
 
-    order = pattern.flow.order
-    outs = pattern.graph.outputs
-    width = len(outs)
-    code = readout_code(sv0.num_qubits, [plan.wire_of[o] for o in outs])
-    dist: dict[str, float] = {}
-
-    def walk(sv: StateVector, prob: float, idx: int, b: dict, alpha: dict):
-        if prob <= 1e-15:
-            return
-        if idx == len(order):
-            xor_mask = 0
-            if mode != "raw":
-                for pos, o in enumerate(outs):
-                    xor_mask |= plan.corrected_output(o, 0, b) << (width - 1 - pos)
-            probs = np.abs(sv.amps) ** 2
-            raw_dist = np.bincount(code, weights=probs, minlength=1 << width)
-            for raw_idx in range(1 << width):
-                p = float(raw_dist[raw_idx])
-                if p > 0.0:
-                    key = format(raw_idx ^ xor_mask, f"0{width}b")
-                    dist[key] = dist.get(key, 0.0) + prob * p
-            return
-        i = order[idx]
+    amps, wires = sv0.amps[None, :], list(range(sv0.num_qubits))
+    b: dict = {}
+    alpha: dict = {}
+    for i in pattern.flow.order:
         if mode == "interactive":
             x, z = plan.byproducts(i, b, keys)
             phi = _corrected_angle_k(pattern.angles[i], x, z) * pi / 4
         else:
             phi = pattern.angle_rad(i)
         # qfhe: the companion first, in the basis the client would pick.
-        companions = [(None, 1.0, sv)]
         if mode == "qfhe" and plan.family[i] == "gadget":
-            basis = client_basis(plan.byproducts(i, b, keys)[0])
-            phi_c = 0.0 if basis == "X" else Y_BASIS_ANGLE
-            companions = _branches(sv, plan.wire_of[("companion", i)], phi_c)
-        for a_out, pa, mid in companions:
-            alpha2 = alpha if a_out is None else {**alpha, i: a_out}
-            for outcome, ps, nxt in _branches(mid, plan.wire_of[i], phi):
-                bit = outcome
-                if mode == "qfhe":
-                    bit = _corrected_bit(pattern, i, {i: outcome}, b, alpha2, keys)
-                walk(nxt, prob * pa * ps, idx + 1, {**b, i: bit}, alpha2)
+            y_basis = plan.byproducts(i, b, keys)[0]
+            companion = plan.wire_of[("companion", i)]
+            amps, alpha[i] = _split(
+                amps, wires, companion, Y_BASIS_ANGLE * y_basis, (b, alpha)
+            )
+        amps, outcome = _split(amps, wires, plan.wire_of[i], phi, (b, alpha))
+        if mode == "qfhe":
+            outcome = _corrected_bit(pattern, i, {i: outcome}, b, alpha, keys)
+        b[i] = outcome
 
-    walk(sv0, 1.0, 0, {}, {})
+    outs = pattern.graph.outputs
+    width = len(outs)
+    code = readout_code(len(wires), [wires.index(plan.wire_of[o]) for o in outs])
+    mask = np.zeros(len(amps), dtype=np.int64)
+    if mode != "raw":
+        for pos, o in enumerate(outs):
+            mask |= plan.corrected_output(o, 0, b) << (width - 1 - pos)
+    readout = (code ^ mask[:, None]).ravel()
+    probs = (amps.real**2 + amps.imag**2).ravel()
+    law = np.bincount(readout, weights=probs, minlength=1 << width)
+    dist = {format(k, f"0{width}b"): float(p) for k, p in enumerate(law) if p > 0}
     total = sum(dist.values())
     if abs(total - 1.0) > DIST_TOL:
         raise RuntimeError(f"branch probabilities sum to {total}, expected 1")

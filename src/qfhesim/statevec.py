@@ -11,7 +11,8 @@ Conventions shared by the whole package:
   ``|+_phi> = (|0> + e^{i phi}|1>)/sqrt(2)`` (outcome 0) and
   ``|-_phi> = (|0> - e^{i phi}|1>)/sqrt(2)`` (outcome 1).  ``StateVector``
   realises it as ``rz(-phi)``, ``h``, computational readout, frame restored
-  afterwards; ``ShotBatch`` projects onto it directly.
+  afterwards; ``ShotBatch`` and the exact branch walk project onto it
+  directly (``halves``).
 * The Y readout basis is the rotated basis at ``phi = 3*pi/2``, i.e.
   outcome 0 corresponds to ``(|0> - i|1>)/sqrt(2)``.  The X basis is
   ``phi = 0``.
@@ -282,14 +283,7 @@ class ShotBatch:
         keeps its chosen half, renormalized.
         """
         q = self.wires.index(wire)
-        view = self.amps.reshape(len(self.amps), -1, 2, 1 << q)
-        a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
-        half = 1.0
-        if phi is not None:
-            # sqrt(2) times the projections onto |+_phi> and |-_phi>.
-            w = np.exp(-1j * np.reshape(phi, (-1, 1, 1))) * a1
-            a0, a1 = a0 + w, a0 - w
-            half = 0.5
+        a0, a1, half = halves(self.amps, q, phi)
         p1 = half * (a1.real**2 + a1.imag**2).sum(axis=(1, 2))
         bit = self.uniforms[:, self._column] < p1
         self._column += 1
@@ -299,6 +293,22 @@ class ShotBatch:
         self.amps = kept.reshape(len(bit), -1)
         del self.wires[q]
         return bit.astype(int)
+
+
+def halves(amps: np.ndarray, q: int, phi=None):
+    """The two halves of every row of `amps` on its qubit q: ``(a0, a1, half)``.
+
+    Each half is shaped (rows, -1, 1 << q).  ``phi`` (a scalar or one angle
+    per row) makes them sqrt(2) times the projections onto |+_phi> and
+    |-_phi>; None leaves the |0> and |1> halves.  ``half`` times a squared
+    norm is that half's probability.
+    """
+    view = amps.reshape(len(amps), -1, 2, 1 << q)
+    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    if phi is None:
+        return a0, a1, 1.0
+    w = np.exp(-1j * np.reshape(phi, (-1, 1, 1))) * a1
+    return a0 + w, a0 - w, 0.5
 
 
 def new_plus_state(n: int) -> StateVector:

@@ -1,12 +1,15 @@
 """Open-graph patterns, flow validation, corrections, interactive runs."""
 
+import re
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qfhesim.circuit import final_state
+from qfhesim.cli import main
 from qfhesim.compiler import compile_qfhe_to_circuit
 from qfhesim.harness import reference_pattern
 from qfhesim.pattern import (
@@ -387,3 +390,72 @@ def test_pattern_file_comments_and_multi_ids(tmp_path):
     pat = load_pattern(path)
     assert pat.graph.inputs == (1, 2)
     assert pat.angles == {1: 0, 2: 2}
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (
+            b"node 1\nnode 2\nedge 1 2\ninput 1\noutput 2\nflow 1 2\nflow 2 1\n",
+            ": flow from 2, which is not a measured node",
+        ),
+        (b"node 1\nnode 2 # \xff\n", ":2: 'utf-8' codec can't decode"),
+    ],
+)
+def test_pattern_reader_errors_name_path_and_line(tmp_path, data, where):
+    path = tmp_path / "pattern.txt"
+    path.write_bytes(data)
+    with pytest.raises(PatternFormatError) as err:
+        load_pattern(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
+
+REFERENCE_FILE = Path(__file__).resolve().parents[1] / "patterns" / "reference.txt"
+PATTERN_RECORDS = ["node", "edge", "input", "output", "angle", "flow", "x"]
+PATTERN_ARGS = ["1", "4", "7", "9", "10", "0", "-1", "2.5", "x", "#", "\xff"]
+PATTERN_EDITS = st.tuples(
+    st.sampled_from(["delete", "duplicate", "replace", "insert", "token", "byte"]),
+    st.integers(0, 40),
+    st.sampled_from(PATTERN_RECORDS),
+    st.lists(st.sampled_from(PATTERN_ARGS), max_size=3),
+)
+
+
+@settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(PATTERN_EDITS, min_size=1, max_size=4))
+def test_pattern_reader_fuzz(tmp_path, capsys, edits):
+    # Mutated copies of a shipped pattern file either parse or fail with
+    # path:line (path: for whole-file errors), and `run` exits 2 on them.
+    lines = REFERENCE_FILE.read_bytes().splitlines()
+    for op, at, record, args in edits:
+        at %= len(lines) + 1
+        text = " ".join([record, *args]).encode()
+        if op == "insert" or at == len(lines):
+            lines.insert(at, text)
+        elif op == "delete":
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, lines[at])
+        elif op == "replace":
+            lines[at] = text
+        elif op == "token":
+            words = lines[at].split() or [b""]
+            words[len(args) % len(words)] = (args or [record])[0].encode()
+            lines[at] = b" ".join(words)
+        else:
+            lines[at] = lines[at][: len(text)] + b"\xff" + lines[at][len(text) :]
+    path = tmp_path / "pattern.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        load_pattern(path)
+    except PatternFormatError as exc:
+        assert re.match(rf"{re.escape(str(path))}:([1-9][0-9]*:)? ", str(exc)), exc
+        argv = ["run", "--mode", "interactive", "--pattern", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and "Traceback" not in err

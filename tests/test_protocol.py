@@ -12,6 +12,7 @@ from qfhesim.pattern import (
     FlowMap,
     MeasurementPattern,
     OpenGraph,
+    _with_input_flips,
     input_keys,
     random_pattern,
 )
@@ -323,13 +324,13 @@ def test_server_marginals_leave_companions_unmeasured(monkeypatch):
     # the raw-readout walk branches on graph nodes only.
     ref = reference_pattern()
     projected = set()
-    real = StateVector.project_rotated
+    real = protocol._split
 
-    def spy(self, q, phi, bit):
-        projected.add(q)
-        return real(self, q, phi, bit)
+    def spy(amps, wires, wire, phi, bits):
+        projected.add(wire)
+        return real(amps, wires, wire, phi, bits)
 
-    monkeypatch.setattr(StateVector, "project_rotated", spy)
+    monkeypatch.setattr(protocol, "_split", spy)
     server_output_marginals_exact(ref, [0, 0, 0])
     assert projected == {ref.plan.wire_of[v] for v in ref.flow.order}
 
@@ -374,5 +375,5 @@ def test_direct_input_flips_equal_minus_states_prepared_first():
             want.apply_gate("cnot", (wire_of[node], wire_of[("companion", node)]))
         for a, b in ref.graph.edges:
             want.apply_gate("cz", (wire_of[a], wire_of[b]))
-        got = protocol._prepare_protocol_state(ref, keys)
+        got = _with_input_flips(ref.plan.register, wire_of, keys)
         assert np.array_equal(got.amps, want.amps)
