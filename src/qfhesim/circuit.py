@@ -17,7 +17,6 @@ import numpy as np
 
 from .statevec import GATE_ARITY, StateVector
 
-MATRIX_TOL = 1e-12
 EQUIV_TOL = 1e-9
 MAX_VERIFY_WIRES = 10
 
@@ -36,7 +35,7 @@ _RZ_POWER_GATES = {
 
 
 class CircuitFormatError(ValueError):
-    """Malformed circuit or coupling file; message carries the line number."""
+    """Malformed circuit or coupling file; message starts ``path:[line:]``."""
 
 
 class RoutingError(ValueError):
@@ -415,32 +414,46 @@ def ring(n: int) -> CouplingMap:
     return CouplingMap(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
+def read_records(path, record, build, error=ValueError):
+    """Call ``record(tokens)`` per data line of a ``#``-commented file, then
+    return ``build()``.  Lines are decoded as UTF-8 one by one; a ValueError
+    becomes ``error`` with ``path:line:`` (a line's) or ``path:`` (build's).
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                tokens = raw.decode("utf-8").split("#", 1)[0].split()
+                if tokens:
+                    record(tokens)
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+    try:
+        return build()
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_coupling(path) -> CouplingMap:
     """First data line: node count; then ``edge <control> <target>`` lines."""
     num_nodes = None
     edges = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if num_nodes is None:
-                    (num_nodes,) = map(int, tokens)
-                elif tokens[0] == "edge":
-                    c, t = map(int, tokens[1:])
-                    edges.add((c, t))
-                else:
-                    raise ValueError(f"unknown record {tokens[0]!r}")
-            except ValueError as exc:
-                raise CircuitFormatError(f"{path}:{lineno}: {exc}") from exc
-    if num_nodes is None:
-        raise CircuitFormatError(f"{path}: missing node count")
-    try:
+
+    def record(tokens):
+        nonlocal num_nodes
+        if num_nodes is None:
+            (num_nodes,) = map(int, tokens)
+        elif tokens[0] == "edge":
+            c, t = map(int, tokens[1:])
+            edges.add((c, t))
+        else:
+            raise ValueError(f"unknown record {tokens[0]!r}")
+
+    def build():
+        if num_nodes is None:
+            raise ValueError("missing node count")
         return CouplingMap(num_nodes, frozenset(edges))
-    except ValueError as exc:
-        raise CircuitFormatError(f"{path}: {exc}") from exc
+
+    return read_records(path, record, build, CircuitFormatError)
 
 
 def save_coupling(coupling: CouplingMap, path) -> None:
@@ -586,28 +599,24 @@ def parity_postprocess(
 def load_circuit(path) -> Circuit:
     """Parse ``gate NAME w0 [w1]`` / ``measure w -> bitname`` lines."""
     instructions: list[Instruction] = []
-    max_wire = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if tokens[0] == "gate":
-                    name = tokens[1]
-                    wires = tuple(int(w) for w in tokens[2:])
-                    instructions.append(Instruction(name, wires))
-                elif tokens[0] == "measure":
-                    if len(tokens) != 4 or tokens[2] != "->":
-                        raise ValueError("expected: measure <wire> -> <bitname>")
-                    instructions.append(measure(int(tokens[1]), tokens[3]))
-                else:
-                    raise ValueError(f"unknown record {tokens[0]!r}")
-            except (ValueError, IndexError) as exc:
-                raise CircuitFormatError(f"{path}:{lineno}: {exc}") from exc
-            max_wire = max([max_wire, *instructions[-1].wires])
-    return circuit(max_wire + 1, instructions)
+
+    def record(tokens):
+        kind, *args = tokens
+        if kind == "gate":
+            name, *wires = args
+            instructions.append(Instruction(name, tuple(map(int, wires))))
+        elif kind == "measure":
+            if len(args) != 3 or args[1] != "->":
+                raise ValueError("expected: measure <wire> -> <bitname>")
+            instructions.append(measure(int(args[0]), args[2]))
+        else:
+            raise ValueError(f"unknown record {kind!r}")
+
+    def build():
+        wires = [w for ins in instructions for w in ins.wires]
+        return circuit(max(wires, default=-1) + 1, instructions)
+
+    return read_records(path, record, build, CircuitFormatError)
 
 
 def save_circuit(circ: Circuit, path) -> None:

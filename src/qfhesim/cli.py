@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import harness, noise as noise_mod
-from .circuit import CircuitFormatError, load_coupling
-from .pattern import FlowError, PatternFormatError, load_pattern
+from .circuit import load_coupling, read_records
+from .pattern import load_pattern
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,24 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_placement(path: str) -> dict:
     """Lines: ``<node-id or c<node-id>> <physical-index>``."""
     placement: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if len(tokens) != 2:
-                    raise ValueError("expected '<label> <physical>'")
-                label, phys = tokens
-                companion = label.startswith("c")
-                key = ("companion", int(label[1:])) if companion else int(label)
-                if key in placement:
-                    raise ValueError(f"label {label!r} placed twice")
-                placement[key] = int(phys)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return placement
+
+    def record(tokens):
+        if len(tokens) != 2:
+            raise ValueError("expected '<label> <physical>'")
+        label, phys = tokens
+        key = ("companion", int(label[1:])) if label.startswith("c") else int(label)
+        if key in placement:
+            raise ValueError(f"label {label!r} placed twice")
+        placement[key] = int(phys)
+
+    return read_records(path, record, lambda: placement)
 
 
 def _cmd_run(args) -> int:
@@ -115,15 +108,19 @@ def _table_from_report(path: Path) -> harness.CountsTable:
     report_path = path / "report.json"
     try:
         data = json.loads(report_path.read_text(encoding="utf-8"))
-        inputs = list(data["inputs"])
-        table = harness.CountsTable(
-            inputs=inputs,
-            shots=int(data["shots"]),
-            output_nodes=list(data["output_nodes"]),
-        )
+        inputs, shots = list(data["inputs"]), data["shots"]
+        if type(shots) is not int or shots < 1:
+            raise ValueError(f"shots {shots!r} is not a positive integer")
+        outputs = list(data["output_nodes"])
+        table = harness.CountsTable(inputs=inputs, shots=shots, output_nodes=outputs)
         for v in inputs:
-            table.ones[v] = list(data["ones"][str(v)])
-            table.joints[v] = dict(data["joints"][str(v)])
+            ones = table.ones[v] = list(data["ones"][str(v)])
+            joints = table.joints[v] = dict(data["joints"][str(v)])
+            if len(ones) != len(outputs):
+                raise ValueError(f"input {v}: {len(ones)} ones, {len(outputs)} outputs")
+            for c in [*ones, *joints.values()]:
+                if type(c) is not int or not 0 <= c <= shots:
+                    raise ValueError(f"input {v}: count {c!r} outside [0, {shots}]")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{report_path}: malformed report ({exc!r})") from exc
     return table
@@ -137,7 +134,7 @@ def _cmd_compare(args) -> int:
     for v in ta.inputs:
         ps = " ".join(f"{p:.4g}" for p in stats["p_values"][v])
         print(f"input {v}: p-values [{ps}] tv {stats['tv'][v]:.4f}")
-        worst = min(worst, *stats["p_values"][v])
+        worst = min([worst, *stats["p_values"][v]])
     print(f"min p-value {worst:.4g}")
     return 0 if worst >= args.p_threshold else 1
 
@@ -150,13 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return harness.selftest()
         return _cmd_compare(args)
-    except (
-        PatternFormatError,
-        CircuitFormatError,
-        FlowError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, read_records
 from .statevec import StateVector, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
@@ -64,23 +64,17 @@ def load_noise_model(path) -> NoiseModel:
     raise ``ValueError`` with ``path:line``.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if len(tokens) != 2 or tokens[0] not in _KEYS:
-                    raise ValueError("expected 'p1|p2|p_ro|p_idle <value>'")
-                key, text = tokens
-                if key in values:
-                    raise ValueError(f"{key} given twice")
-                values[key] = float(text)
-                _check_probability(key, values[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return NoiseModel(**values)
+
+    def record(tokens):
+        if len(tokens) != 2 or tokens[0] not in _KEYS:
+            raise ValueError("expected 'p1|p2|p_ro|p_idle <value>'")
+        key, text = tokens
+        if key in values:
+            raise ValueError(f"{key} given twice")
+        values[key] = float(text)
+        _check_probability(key, values[key])
+
+    return read_records(path, record, lambda: NoiseModel(**values))
 
 
 def _pauli_code(num_wires: int, p: float, rng: np.random.Generator) -> int:

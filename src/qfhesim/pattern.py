@@ -24,7 +24,7 @@ from math import pi
 
 import numpy as np
 
-from .circuit import Circuit, circuit, final_state, gate
+from .circuit import Circuit, circuit, final_state, gate, read_records
 from .statevec import ShotBatch, StateVector, new_plus_state
 
 # Angle grid: angles are k * pi/4.  Pattern files and deferred corrections
@@ -46,7 +46,7 @@ class FlowError(ValueError):
 
 
 class PatternFormatError(ValueError):
-    """Malformed pattern file; message carries the line number."""
+    """Malformed pattern file; message starts ``path:[line:]``."""
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,17 @@ class OpenGraph:
             if a not in node_set or b not in node_set:
                 raise ValueError(f"edge ({a}, {b}) references unknown node")
         for name, group in (("input", self.inputs), ("output", self.outputs)):
+            if len(set(group)) != len(group):
+                raise ValueError(f"an {name} node is listed twice: {group}")
             for v in group:
                 if v not in node_set:
                     raise ValueError(f"{name} node {v} not in graph")
+        edges = tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges))
+        for e, e_next in zip(edges, edges[1:]):
+            if e == e_next:
+                raise ValueError(f"edge {e} repeated; its two CZs would cancel")
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-        object.__setattr__(
-            self, "edges", tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges))
-        )
+        object.__setattr__(self, "edges", edges)
 
     def neighbours(self, v: int) -> set[int]:
         out = set()
@@ -491,52 +495,49 @@ def load_pattern(path) -> MeasurementPattern:
     order is the flow's topological order with ascending-id tie-breaks.
     """
     nodes: list[int] = []
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     inputs: list[int] = []
     outputs: list[int] = []
     angles: dict[int, int] = {}
     f: dict[int, int] = {}
 
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                tokens = raw.decode("utf-8").split("#", 1)[0].split()
-                if not tokens:
-                    continue
-                kind, args = tokens[0], tokens[1:]
-                if kind == "node":
-                    (v,) = map(int, args)
-                    nodes.append(v)
-                elif kind == "edge":
-                    a, b = map(int, args)
-                    edges.append((a, b))
-                elif kind == "input":
-                    inputs.extend(map(int, args))
-                elif kind == "output":
-                    outputs.extend(map(int, args))
-                elif kind == "angle":
-                    v, k = map(int, args)
-                    if k not in CANONICAL_ANGLE_KS:
-                        raise ValueError(
-                            f"angle multiple {k} not in {sorted(CANONICAL_ANGLE_KS)}"
-                        )
-                    angles[v] = k
-                elif kind == "flow":
-                    a, b = map(int, args)
-                    f[a] = b
-                else:
-                    raise ValueError(f"unknown record {kind!r}")
-            except ValueError as exc:
-                raise PatternFormatError(f"{path}:{lineno}: {exc}") from exc
+    def record(tokens):
+        kind, args = tokens[0], tokens[1:]
+        if kind == "node":
+            (v,) = map(int, args)
+            nodes.append(v)
+        elif kind == "edge":
+            a, b = sorted(map(int, args))
+            if (a, b) in edges:
+                raise ValueError(f"edge between {a} and {b} given twice")
+            edges.add((a, b))
+        elif kind in ("input", "output"):
+            (inputs if kind == "input" else outputs).extend(map(int, args))
+        elif kind == "angle":
+            v, k = map(int, args)
+            if k not in CANONICAL_ANGLE_KS:
+                raise ValueError(
+                    f"angle multiple {k} not in {sorted(CANONICAL_ANGLE_KS)}"
+                )
+            if v in angles:
+                raise ValueError(f"angle of node {v} given twice")
+            angles[v] = k
+        elif kind == "flow":
+            a, b = map(int, args)
+            if a in f:
+                raise ValueError(f"flow from {a} given twice")
+            f[a] = b
+        else:
+            raise ValueError(f"unknown record {kind!r}")
 
-    try:
+    def build():
         graph = OpenGraph(tuple(nodes), tuple(edges), tuple(inputs), tuple(outputs))
         order = flow_order_from_partial(graph, f)
         pattern = MeasurementPattern(graph, FlowMap(f, order), angles)
         pattern.plan  # validates the flow once; every run reuses the plan
-    except ValueError as exc:
-        raise PatternFormatError(f"{path}: {exc}") from exc
-    return pattern
+        return pattern
+
+    return read_records(path, record, build, PatternFormatError)
 
 
 def save_pattern(pattern: MeasurementPattern, path) -> None:

@@ -1,9 +1,11 @@
 """Rewrite exactness, equivalence checking, file formats, parity masks."""
 
+import re
 from math import pi
 
 import numpy as np
 import pytest
+from fuzzing import READER_FUZZ, apply_line_edits, line_edits
 from hypothesis import given, settings, strategies as st
 
 from qfhesim.circuit import (
@@ -24,6 +26,8 @@ from qfhesim.circuit import (
     unitary_of,
     verify_equivalence,
 )
+from qfhesim.compiler import compile_qfhe_to_circuit
+from qfhesim.harness import reference_pattern
 
 SWAP_MATRIX = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 CNOT_REV = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # control = wire 1
@@ -305,6 +309,46 @@ def test_circuit_file_errors(tmp_path):
     path.write_text("gate h 0\nmeasure 0 to a\n", encoding="utf-8")
     with pytest.raises(CircuitFormatError, match="bad.txt:2"):
         load_circuit(path)
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"gate h 0\ngate \xff 1\n", ":2: 'utf-8' codec can't decode"),
+        (b"gate h 0\ngate\n", ":2: not enough values to unpack"),
+        (b"gate h 0\nswap 0 1\n", ":2: unknown record 'swap'"),
+        (b"gate h -1\n", ": wire -1 out of range for 0 wires"),
+        (b"measure 0 -> a\nmeasure 1 -> a\n", ": duplicate classical bit name 'a'"),
+    ],
+)
+def test_circuit_errors_name_path_and_line(tmp_path, data, where):
+    path = tmp_path / "circuit.txt"
+    path.write_bytes(data)
+    with pytest.raises(CircuitFormatError) as err:
+        load_circuit(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
+
+@pytest.fixture(scope="module")
+def compiled_reference_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("circuit") / "reference.txt"
+    save_circuit(compile_qfhe_to_circuit(reference_pattern(), [0, 1, 1]).circuit, path)
+    return path.read_bytes()
+
+
+CIRCUIT_RECORDS = ["gate", "measure", "x"]
+CIRCUIT_ARGS = ["h", "cnot", "rz", "0", "1", "10", "-1", "->", "m0", "#", "\xff"]
+
+
+@READER_FUZZ
+@given(line_edits(CIRCUIT_RECORDS, CIRCUIT_ARGS))
+def test_circuit_reader_fuzz(tmp_path, compiled_reference_file, edits):
+    path = tmp_path / "circuit.txt"
+    path.write_bytes(apply_line_edits(compiled_reference_file, edits))
+    try:
+        load_circuit(path)
+    except CircuitFormatError as exc:
+        assert re.match(rf"{re.escape(str(path))}:([1-9][0-9]*:)? ", str(exc)), exc
 
 
 def test_rz_without_angle_is_rejected(tmp_path):

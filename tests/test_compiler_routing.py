@@ -1,9 +1,15 @@
 """Coupling maps, greedy routing, and the protocol compiler."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from fuzzing import READER_FUZZ, apply_line_edits, line_edits
+from hypothesis import given
 
 from qfhesim.circuit import (
+    CircuitFormatError,
     CouplingMap,
     RoutingError,
     check_conformance,
@@ -19,12 +25,15 @@ from qfhesim.circuit import (
     verify_equivalence,
 )
 from qfhesim import compiler, protocol
+from qfhesim.cli import main
 from qfhesim.compiler import CompileError, compile_qfhe_to_circuit
 from qfhesim.harness import default_placement, input_bits_of, reference_pattern
 from qfhesim.pattern import FlowMap, MeasurementPattern, OpenGraph
 from qfhesim.protocol import enumerate_branches, total_variation
 
 from test_circuit import random_circuit
+
+LADDER_FILE = Path(__file__).resolve().parents[1] / "couplings" / "ladder16.txt"
 
 
 def induced_submap(coupling, keep):
@@ -56,14 +65,50 @@ def test_ladder16_shape_and_connectivity():
 
 
 def test_shipped_ladder_file_matches_builder(tmp_path):
-    from pathlib import Path
-
-    repo_file = Path(__file__).resolve().parents[1] / "couplings" / "ladder16.txt"
-    loaded = load_coupling(repo_file)
+    loaded = load_coupling(LADDER_FILE)
     assert loaded == ladder16()
     out = tmp_path / "roundtrip.txt"
     save_coupling(loaded, out)
     assert load_coupling(out) == loaded
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"2\nedge 0 \xff\n", ":2: 'utf-8' codec can't decode"),
+        (b"2\nlink 0 1\n", ":2: unknown record 'link'"),
+        (b"2 3\n", ":1: too many values to unpack"),
+        (b"# no data\n", ": missing node count"),
+        (b"2\nedge 0 2\n", ": edge (0, 2) references unknown node"),
+    ],
+)
+def test_coupling_errors_name_path_and_line(tmp_path, data, where):
+    path = tmp_path / "coupling.txt"
+    path.write_bytes(data)
+    with pytest.raises(CircuitFormatError) as err:
+        load_coupling(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
+
+COUPLING_RECORDS = ["edge", "16", "x"]
+COUPLING_ARGS = ["0", "1", "15", "16", "-1", "2.5", "x", "#", "\xff"]
+
+
+@READER_FUZZ
+@given(line_edits(COUPLING_RECORDS, COUPLING_ARGS))
+def test_coupling_reader_fuzz(tmp_path, capsys, edits):
+    # Mutated copies of the shipped map either load or fail with path: or
+    # path:line:, and `run` exits 2 on them with one error line.
+    path = tmp_path / "coupling.txt"
+    path.write_bytes(apply_line_edits(LADDER_FILE.read_bytes(), edits))
+    try:
+        load_coupling(path)
+    except CircuitFormatError as exc:
+        assert re.match(rf"{re.escape(str(path))}:([1-9][0-9]*:)? ", str(exc)), exc
+        argv = ["run", "--mode", "qfhe-circuit", "--pattern", "reference"]
+        assert main([*argv, "--coupling", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and len(err.splitlines()) == 1
 
 
 def test_disconnected_map_rejected():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from fuzzing import READER_FUZZ
+from hypothesis import given, strategies as st
 
 from qfhesim.harness import (
     CountsTable,
@@ -24,7 +25,7 @@ from qfhesim.harness import (
     two_sample_chi2_p,
 )
 from qfhesim.circuit import ladder16
-from qfhesim.cli import _load_placement
+from qfhesim.cli import _load_placement, main
 from qfhesim.pattern import validate_flow
 
 REPO = Path(__file__).resolve().parents[1]
@@ -299,11 +300,24 @@ def _run_args(tmp_path, *extra, pattern="reference", out="out"):
     ]
 
 
-def _compare_reports_missing_keys(tmp_path):
-    for name in ("a", "b"):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / "report.json").write_text('{"inputs": [0]}')
-    return ["compare", str(tmp_path / "a"), str(tmp_path / "b")]
+GOOD_REPORT = {
+    "inputs": [0],
+    "shots": 4,
+    "output_nodes": [7, 8],
+    "ones": {"0": [1, 2]},
+    "joints": {"0": {"00": 2, "01": 1, "11": 1}},
+}
+
+
+def _compare_reports(base=GOOD_REPORT, **changes):
+    def args(tmp_path):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            report = json.dumps({**base, **changes})
+            (tmp_path / name / "report.json").write_text(report)
+        return ["compare", str(tmp_path / "a"), str(tmp_path / "b")]
+
+    return args
 
 
 def _run_onto_existing_file(tmp_path):
@@ -335,7 +349,7 @@ LADDER = str(REPO / "couplings" / "ladder16.txt")
 
 BAD_REQUESTS = {
     "missing-pattern": lambda t: _run_args(t, pattern=str(t / "missing.txt")),
-    "report-missing-keys": _compare_reports_missing_keys,
+    "report-missing-keys": _compare_reports({"inputs": [0]}),
     "out-is-a-file": _run_onto_existing_file,
     "duplicate-inputs": lambda t: _run_args(t, "--inputs", "0,0,1"),
     "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
@@ -360,6 +374,11 @@ BAD_REQUESTS = {
     "noise-repeated-key": _run_with_file(
         "--noise", "noise.txt", "p1 0.1\np1 0.2\n", "qfhe-circuit-noisy"
     ),
+    "report-string-counts": _compare_reports(ones={"0": ["1", "2"]}),
+    "report-float-joint": _compare_reports(joints={"0": {"00": 2.5}}),
+    "report-zero-shots": _compare_reports(shots=0),
+    "report-short-ones": _compare_reports(ones={"0": [1]}),
+    "report-count-above-shots": _compare_reports(ones={"0": [1, 5]}),
 }
 
 
@@ -370,6 +389,9 @@ def test_cli_validation_error_exit_code(tmp_path, case):
     assert "error:" in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert not (tmp_path / "out").exists()
+    if case.startswith("report-"):
+        report = tmp_path / "a" / "report.json"
+        assert proc.stderr.startswith(f"error: {report}: malformed report")
     if case == "out-is-a-file":
         assert (tmp_path / "taken").read_text() == "keep\n"
 
@@ -382,11 +404,12 @@ def test_cli_validation_error_exit_code(tmp_path, case):
         ("1 0\n\n# moved\n1 3\n", ":4: label '1' placed twice"),
         ("c4 0\nc4 1\n", ":2: label 'c4' placed twice"),
         ("1 0 2\n", ":1: expected '<label> <physical>'"),
+        ("1 0\n\xff 3\n", ":2: 'utf-8' codec can't decode"),
     ],
 )
 def test_placement_errors_name_path_and_line(tmp_path, text, where):
     path = tmp_path / "placement.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")
     with pytest.raises(ValueError) as err:
         _load_placement(str(path))
     assert str(err.value).startswith(f"{path}{where}")
@@ -395,12 +418,7 @@ def test_placement_errors_name_path_and_line(tmp_path, text, where):
 PLACEMENT_TOKENS = ["1", "c4", "c", "x1", "0", "15", "-2", "3.5", "#", "", "1 2 3"]
 
 
-@settings(
-    max_examples=50,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@READER_FUZZ
 @given(st.lists(st.lists(st.sampled_from(PLACEMENT_TOKENS), max_size=3), max_size=6))
 def test_placement_reader_fuzz(tmp_path, lines):
     path = tmp_path / "placement.txt"
@@ -409,6 +427,97 @@ def test_placement_reader_fuzz(tmp_path, lines):
         _load_placement(str(path))
     except ValueError as exc:
         assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(exc)), exc
+
+
+@pytest.mark.parametrize(
+    "flag, mode, line1",
+    [
+        ("--pattern", "interactive", "node 1"),
+        ("--coupling", "qfhe-circuit", "16"),
+        ("--noise", "qfhe-circuit-noisy", "p1 0"),
+        ("--placement", "qfhe-circuit", "1 0"),
+    ],
+)
+def test_run_names_path_and_line_of_a_bad_byte(tmp_path, capsys, flag, mode, line1):
+    path = tmp_path / "input.txt"
+    path.write_bytes(line1.encode() + b"\n\xff\n")
+    argv = ["run", "--mode", mode, "--pattern", "reference", flag, str(path)]
+    if flag == "--placement":
+        argv += ["--coupling", LADDER]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+
+
+def test_compare_report_without_outputs(tmp_path, capsys):
+    argv = _compare_reports(output_nodes=[], ones={"0": []})(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("min p-value 1\n")
+
+
+@pytest.fixture(scope="module")
+def saved_report(tmp_path_factory):
+    table, stats = run_experiment(small_config(mode="qfhe", shots=20))
+    out = tmp_path_factory.mktemp("report")
+    return emit_report(table, stats, out)["report"].read_bytes()
+
+
+REPORT_VALUES = [-1, 0, 1, 7, 21, 10**9, 2.5, "3", None, True, [], {}]
+REPORT_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["value"] * 6 + ["delete"] * 2 + ["byte"]),
+        st.integers(0, 60),
+        st.sampled_from(REPORT_VALUES),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair in a parsed JSON document, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def _mutate_report(data: bytes, edits) -> bytes:
+    report = json.loads(data)
+    for op, at, value in edits:
+        slots = list(_slots(report))
+        if op != "byte" and slots:
+            node, key = slots[at % len(slots)]
+            if op == "value":
+                node[key] = value
+            else:
+                del node[key]
+    lines = json.dumps(report, indent=2, sort_keys=True).encode().splitlines()
+    for op, at, _ in edits:
+        if op == "byte":
+            line = lines[at % len(lines)]
+            lines[at % len(lines)] = line[:3] + b"\xff" + line[3:]
+    return b"\n".join(lines) + b"\n"
+
+
+@READER_FUZZ
+@given(REPORT_EDITS)
+def test_compare_report_reader_fuzz(tmp_path, capsys, saved_report, edits):
+    # A mutated report either compares cleanly with itself or `compare`
+    # exits 2 naming the report.
+    run = tmp_path / "run"
+    run.mkdir(exist_ok=True)
+    (run / "report.json").write_bytes(_mutate_report(saved_report, edits))
+    code = main(["compare", str(run), str(run)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {run / 'report.json'}: malformed report")
+        assert len(err.splitlines()) == 1
 
 
 def test_cli_compare_flags_disagreement(tmp_path):

@@ -4,7 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from fuzzing import READER_FUZZ
+from hypothesis import given, strategies as st
 
 from qfhesim.circuit import circuit, exact_readout_distribution, gate, measure
 from qfhesim.harness import two_sample_chi2_p
@@ -48,11 +49,12 @@ def test_noise_config_file(tmp_path):
         ("p_idle nan\n", ":1: p_idle = nan outside [0, 1]"),
         ("p2 x\n", ":1: could not convert string to float"),
         ("p2\n", ":1: expected 'p1|p2|p_ro|p_idle <value>'"),
+        ("p1 0.1\n\xff\n", ":2: 'utf-8' codec can't decode"),
     ],
 )
 def test_noise_errors_name_path_and_line(tmp_path, text, where):
     path = tmp_path / "noise.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")
     with pytest.raises(ValueError) as err:
         load_noise_model(path)
     assert str(err.value).startswith(f"{path}{where}")
@@ -62,12 +64,7 @@ NOISE_KEYS = ("p1", "p2", "p_ro", "p_idle")
 NOISE_TOKENS = [*NOISE_KEYS, "p9", "0", "0.5", "1", "2", "-1e-3", "nan", "#", "x"]
 
 
-@settings(
-    max_examples=50,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@READER_FUZZ
 @given(st.lists(st.lists(st.sampled_from(NOISE_TOKENS), max_size=3), max_size=6))
 def test_noise_reader_fuzz(tmp_path, lines):
     path = tmp_path / "noise.txt"

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from fuzzing import READER_FUZZ, apply_line_edits, line_edits
+from hypothesis import given, settings, strategies as st
 
 from qfhesim.circuit import final_state
 from qfhesim.cli import main
@@ -52,6 +53,16 @@ def test_open_graph_rejects_bad_structure():
         OpenGraph((1, 2), ((1, 3),), (1,), (2,))
     with pytest.raises(ValueError):
         OpenGraph((1, 2), ((1, 2),), (3,), (2,))
+
+
+def test_open_graph_rejects_repeated_edge_or_io_node():
+    # Two CZs on one edge cancel, so the graph state would not be the one named.
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) repeated"):
+        OpenGraph((1, 2, 3), ((1, 2), (2, 3), (2, 1)), (1,), (3,))
+    with pytest.raises(ValueError, match=r"an input node is listed twice: \(1, 1\)"):
+        OpenGraph((1, 2), ((1, 2),), (1, 1), (2,))
+    with pytest.raises(ValueError, match=r"an output node is listed twice: \(2, 2\)"):
+        OpenGraph((1, 2), ((1, 2),), (1,), (2, 2))
 
 
 def test_pattern_requires_angles_for_measured_nodes():
@@ -400,6 +411,7 @@ def test_pattern_file_comments_and_multi_ids(tmp_path):
             ": flow from 2, which is not a measured node",
         ),
         (b"node 1\nnode 2 # \xff\n", ":2: 'utf-8' codec can't decode"),
+        (b"node 1\nnode 2\ninput 1\ninput 1\n", ": an input node is listed twice"),
     ],
 )
 def test_pattern_reader_errors_name_path_and_line(tmp_path, data, where):
@@ -413,44 +425,15 @@ def test_pattern_reader_errors_name_path_and_line(tmp_path, data, where):
 REFERENCE_FILE = Path(__file__).resolve().parents[1] / "patterns" / "reference.txt"
 PATTERN_RECORDS = ["node", "edge", "input", "output", "angle", "flow", "x"]
 PATTERN_ARGS = ["1", "4", "7", "9", "10", "0", "-1", "2.5", "x", "#", "\xff"]
-PATTERN_EDITS = st.tuples(
-    st.sampled_from(["delete", "duplicate", "replace", "insert", "token", "byte"]),
-    st.integers(0, 40),
-    st.sampled_from(PATTERN_RECORDS),
-    st.lists(st.sampled_from(PATTERN_ARGS), max_size=3),
-)
 
 
-@settings(
-    max_examples=50,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(st.lists(PATTERN_EDITS, min_size=1, max_size=4))
+@READER_FUZZ
+@given(line_edits(PATTERN_RECORDS, PATTERN_ARGS))
 def test_pattern_reader_fuzz(tmp_path, capsys, edits):
     # Mutated copies of a shipped pattern file either parse or fail with
     # path:line (path: for whole-file errors), and `run` exits 2 on them.
-    lines = REFERENCE_FILE.read_bytes().splitlines()
-    for op, at, record, args in edits:
-        at %= len(lines) + 1
-        text = " ".join([record, *args]).encode()
-        if op == "insert" or at == len(lines):
-            lines.insert(at, text)
-        elif op == "delete":
-            del lines[at]
-        elif op == "duplicate":
-            lines.insert(at, lines[at])
-        elif op == "replace":
-            lines[at] = text
-        elif op == "token":
-            words = lines[at].split() or [b""]
-            words[len(args) % len(words)] = (args or [record])[0].encode()
-            lines[at] = b" ".join(words)
-        else:
-            lines[at] = lines[at][: len(text)] + b"\xff" + lines[at][len(text) :]
     path = tmp_path / "pattern.txt"
-    path.write_bytes(b"\n".join(lines) + b"\n")
+    path.write_bytes(apply_line_edits(REFERENCE_FILE.read_bytes(), edits))
     try:
         load_pattern(path)
     except PatternFormatError as exc:
@@ -459,3 +442,21 @@ def test_pattern_reader_fuzz(tmp_path, capsys, edits):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("edge 5 4", "edge between 4 and 5 given twice"),
+        ("angle 4 0", "angle of node 4 given twice"),
+        ("flow 1 4", "flow from 1 given twice"),
+    ],
+)
+def test_repeated_pattern_record_names_its_line(tmp_path, capsys, line, message):
+    path = tmp_path / "pattern.txt"
+    data = REFERENCE_FILE.read_bytes()
+    path.write_bytes(data + line.encode() + b"\n")
+    lineno = len(data.splitlines()) + 1
+    argv = ["run", "--mode", "interactive", "--pattern", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
