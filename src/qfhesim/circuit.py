@@ -15,7 +15,7 @@ from math import pi
 
 import numpy as np
 
-from .statevec import GATE_ARITY, StateVector
+from .statevec import GATE_ARITY, StateVector, apply_rows, rows_per_chunk
 
 EQUIV_TOL = 1e-9
 MAX_VERIFY_WIRES = 10
@@ -120,20 +120,38 @@ def circuit(num_wires: int, instructions) -> Circuit:
 # -- execution ------------------------------------------------------------
 
 
-def _evolve(circ: Circuit, basis_index: int = 0) -> StateVector:
-    """Apply the circuit's gates to the basis state |basis_index>."""
-    sv = StateVector(circ.num_wires)
-    if basis_index:
-        sv.amps[0] = 0.0
-        sv.amps[basis_index] = 1.0
+def _evolve_columns(circ: Circuit, cols: np.ndarray) -> np.ndarray:
+    """One row per col: |col> through the gate list, all rows as one array."""
+    rows = np.zeros((len(cols), 1 << circ.num_wires), dtype=complex)
+    rows[np.arange(len(cols)), cols] = 1.0
     for ins in circ.gates:
-        sv.apply_gate(ins.gate, ins.wires, ins.param)
-    return sv
+        apply_rows(rows, ins.gate, ins.wires, ins.param)
+    return rows
 
 
 def final_state(circ: Circuit) -> StateVector:
     """State after the unitary part, from |0...0>."""
-    return _evolve(circ)
+    sv = StateVector(circ.num_wires)  # checks the width before simulating
+    sv.amps = _evolve_columns(circ, [0])[0]
+    return sv
+
+
+def compact_wires(circ: Circuit) -> tuple[Circuit, list[int]]:
+    """Drop wires no instruction touches; also returns the wires kept.
+
+    Untouched wires stay |0> throughout (and idle dephasing acts trivially
+    on them), so removing them is exact; it shrinks the simulated register
+    for routed circuits with spare physical nodes.
+    """
+    touched = sorted({w for ins in circ.instructions for w in ins.wires})
+    if len(touched) == circ.num_wires:
+        return circ, touched
+    remap = {w: i for i, w in enumerate(touched)}
+    new_ins = tuple(
+        replace(ins, wires=tuple(remap[w] for w in ins.wires))
+        for ins in circ.instructions
+    )
+    return Circuit(len(touched), new_ins), touched
 
 
 def readout_code(num_qubits: int, wires) -> np.ndarray:
@@ -153,14 +171,15 @@ def readout_code(num_qubits: int, wires) -> np.ndarray:
 def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
     """Exact noiseless distribution over readout strings.
 
-    Valid for terminal-measurement circuits: one simulation, probabilities
-    aggregated over the measured wires (first measurement = leftmost
-    character).
+    Valid for terminal-measurement circuits: one simulation of the wires
+    some instruction touches, probabilities aggregated over the measured
+    wires (first measurement = leftmost character).
     """
     circ.require_terminal_measurements()
-    meas = circ.measurements
-    if not meas:
+    if not circ.measurements:
         raise ValueError("circuit has no measurements")
+    circ, _ = compact_wires(circ)
+    meas = circ.measurements
     sv = final_state(circ)
     probs = np.abs(sv.amps) ** 2
     width = len(meas)
@@ -196,12 +215,13 @@ def _require_unitary(circ: Circuit) -> None:
 
 
 def unitary_of(circ: Circuit) -> np.ndarray:
-    """Full unitary via column-by-column simulation (<= MAX_VERIFY_WIRES)."""
+    """Full unitary, its columns simulated as rows (<= MAX_VERIFY_WIRES)."""
     _require_unitary(circ)
-    dim = 1 << circ.num_wires
-    u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        u[:, col] = _evolve(circ, col).amps
+    cols = np.arange(1 << circ.num_wires)
+    u = np.empty((len(cols), len(cols)), dtype=complex)
+    step = rows_per_chunk(circ.num_wires)
+    for lo in range(0, len(cols), step):
+        u[:, lo : lo + step] = _evolve_columns(circ, cols[lo : lo + step]).T
     return u
 
 
@@ -219,33 +239,33 @@ def verify_equivalence(
     ``input_perm`` does the same on the input side and defaults to
     ``wire_perm``.  Routed circuits use the initial placement for inputs and
     the recorded final placement for outputs.  Only c1's 2^n1 columns are
-    simulated, on both circuits.  Returns (equal, max deviation).
+    simulated, on both circuits, as rows of one array per chunk; the global
+    phase is fixed by column 0.  Returns (equal, max deviation).
     """
     _require_unitary(c1)
     _require_unitary(c2)
     out_perm = wire_perm or {w: w for w in range(c1.num_wires)}
     in_perm = input_perm or out_perm
-    dim1 = 1 << c1.num_wires
-    idx1 = np.arange(dim1)
-    idx_out = np.zeros(dim1, dtype=np.int64)
+    cols = np.arange(1 << c1.num_wires)
+    idx_out = np.zeros(len(cols), dtype=np.int64)
+    cols2 = np.zeros(len(cols), dtype=np.int64)
     for w in range(c1.num_wires):
-        idx_out |= ((idx1 >> w) & 1) << out_perm[w]
+        idx_out |= ((cols >> w) & 1) << out_perm[w]
+        cols2 |= ((cols >> w) & 1) << in_perm[w]
     max_dev = 0.0
     phase = None
-    for col in range(dim1):
-        col2 = 0
-        for w in range(c1.num_wires):
-            col2 |= ((col >> w) & 1) << in_perm[w]
-        expected = np.zeros(1 << c2.num_wires, dtype=complex)
-        expected[idx_out] = _evolve(c1, col).amps
-
-        got = _evolve(c2, col2).amps
+    step = rows_per_chunk(max(c1.num_wires, c2.num_wires))
+    for lo in range(0, len(cols), step):
+        rows1 = _evolve_columns(c1, cols[lo : lo + step])
+        expected = np.zeros((len(rows1), 1 << c2.num_wires), dtype=complex)
+        expected[:, idx_out] = rows1
+        got = _evolve_columns(c2, cols2[lo : lo + step])
         if up_to_global_phase:
             if phase is None:
-                k = int(np.argmax(np.abs(expected)))
-                if abs(got[k]) < 1e-12:
+                k = int(np.argmax(np.abs(expected[0])))
+                if abs(got[0, k]) < 1e-12:
                     return False, 1.0
-                phase = got[k] / expected[k]
+                phase = got[0, k] / expected[0, k]
                 phase /= abs(phase)
             got = got / phase
         max_dev = max(max_dev, float(np.max(np.abs(got - expected))))

@@ -121,6 +121,11 @@ def _table_from_report(path: Path) -> harness.CountsTable:
             for c in [*ones, *joints.values()]:
                 if type(c) is not int or not 0 <= c <= shots:
                     raise ValueError(f"input {v}: count {c!r} outside [0, {shots}]")
+            width = len(outputs)
+            if sum(joints.values()) != shots or any(
+                len(k) != width or set(k) - {"0", "1"} for k in joints
+            ):
+                raise ValueError(f"input {v}: joints are not {shots} {width}-bit readouts")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{report_path}: malformed report ({exc!r})") from exc
     return table

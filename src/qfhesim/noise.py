@@ -14,11 +14,11 @@ share the states of their common prefix.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, read_records
+from .circuit import Circuit, compact_wires, read_records
 from .statevec import StateVector, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
@@ -129,24 +129,6 @@ def schedule_layers(circ: Circuit) -> list[list[int]]:
         for w in ins.wires:
             wire_free[w] = layer + 1
     return layers
-
-
-def _compact_wires(circ: Circuit) -> tuple[Circuit, list[int]]:
-    """Drop wires no instruction touches.
-
-    Untouched wires stay |0> throughout and idle dephasing acts trivially on
-    them, so removing them is exact; it shrinks the simulated register for
-    routed circuits with spare physical nodes.
-    """
-    touched = sorted({w for ins in circ.instructions for w in ins.wires})
-    if len(touched) == circ.num_wires:
-        return circ, touched
-    remap = {w: i for i, w in enumerate(touched)}
-    new_ins = tuple(
-        replace(ins, wires=tuple(remap[w] for w in ins.wires))
-        for ins in circ.instructions
-    )
-    return Circuit(len(touched), new_ins), touched
 
 
 def _program(circ: Circuit, model: NoiseModel):
@@ -291,7 +273,7 @@ def _readouts(
     circ.require_terminal_measurements()
     if not circ.measurements:
         raise ValueError("circuit has no measurements")
-    circ, _ = _compact_wires(circ)
+    circ, _ = compact_wires(circ)
     steps, sites = _program(circ, model)
     meas_wires = [ins.wires[0] for ins in circ.measurements]
 

@@ -505,6 +505,8 @@ def load_pattern(path) -> MeasurementPattern:
         kind, args = tokens[0], tokens[1:]
         if kind == "node":
             (v,) = map(int, args)
+            if v in nodes:
+                raise ValueError(f"node {v} given twice")
             nodes.append(v)
         elif kind == "edge":
             a, b = sorted(map(int, args))
@@ -512,7 +514,11 @@ def load_pattern(path) -> MeasurementPattern:
                 raise ValueError(f"edge between {a} and {b} given twice")
             edges.add((a, b))
         elif kind in ("input", "output"):
-            (inputs if kind == "input" else outputs).extend(map(int, args))
+            group = inputs if kind == "input" else outputs
+            for v in map(int, args):
+                if v in group:
+                    raise ValueError(f"{kind} node {v} given twice")
+                group.append(v)
         elif kind == "angle":
             v, k = map(int, args)
             if k not in CANONICAL_ANGLE_KS:

@@ -48,6 +48,8 @@ GATES_1Q = {
 }
 
 GATES_2Q = ("cz", "cnot", "swap")
+# diag(1, phase) gates: only the |1> half changes.
+_PHASE_GATES = ("z", "s", "sdg", "t", "tdg", "rz")
 
 GATE_ARITY = {name: 1 for name in GATES_1Q}
 GATE_ARITY["rz"] = 1
@@ -146,53 +148,25 @@ class StateVector:
         if arity is None:
             raise ValueError(f"unknown gate kind: {gate!r}")
         self._check_targets(targets, arity)
-        if gate == "rz":
-            self._apply_1q(rz_matrix(param), targets[0])
-        elif arity == 1:
-            self._apply_1q(GATES_1Q[gate], targets[0])
-        elif gate == "cz":
-            self._apply_cz(*targets)
-        elif gate == "cnot":
-            self._apply_cnot(*targets)
+        if arity == 1:
+            self._apply_1q(gate, targets[0], param)
         else:
-            self._apply_swap(*targets)
+            getattr(self, f"_apply_{gate}")(*targets)
         return self
 
-    def _apply_1q(self, m: np.ndarray, q: int) -> None:
-        view = self.amps.reshape(-1, 2, 1 << q)
-        v0 = view[:, 0, :]
-        v1 = view[:, 1, :]
-        t0 = m[0, 0] * v0 + m[0, 1] * v1
-        t1 = m[1, 0] * v0 + m[1, 1] * v1
-        view[:, 0, :] = t0
-        view[:, 1, :] = t1
-
-    def _split_view(self, a: int, b: int) -> np.ndarray:
-        # axes: (rest, bit_hi, mid, bit_lo, low) for hi > lo
-        hi, lo = (a, b) if a > b else (b, a)
-        return self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    # Per-kind entry points (perfbench/tracing.py spans them by name), each
+    # one row of ``apply_rows``.
+    def _apply_1q(self, gate: str, q: int, param: float | None = None) -> None:
+        apply_rows(self.amps[None, :], gate, (q,), param)
 
     def _apply_cz(self, a: int, b: int) -> None:
-        view = self._split_view(a, b)
-        view[:, 1, :, 1, :] *= -1.0
+        apply_rows(self.amps[None, :], "cz", (a, b))
 
     def _apply_cnot(self, control: int, target: int) -> None:
-        view = self._split_view(control, target)
-        if control > target:
-            sub = view[:, 1]
-            tmp = sub[:, :, 0, :].copy()
-            sub[:, :, 0, :] = sub[:, :, 1, :]
-            sub[:, :, 1, :] = tmp
-        else:
-            tmp = view[:, 0, :, 1, :].copy()
-            view[:, 0, :, 1, :] = view[:, 1, :, 1, :]
-            view[:, 1, :, 1, :] = tmp
+        apply_rows(self.amps[None, :], "cnot", (control, target))
 
     def _apply_swap(self, a: int, b: int) -> None:
-        view = self._split_view(a, b)
-        tmp = view[:, 0, :, 1, :].copy()
-        view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
-        view[:, 1, :, 0, :] = tmp
+        apply_rows(self.amps[None, :], "swap", (a, b))
 
     # -- measurement -----------------------------------------------------
 
@@ -293,6 +267,47 @@ class ShotBatch:
         self.amps = kept.reshape(len(bit), -1)
         del self.wires[q]
         return bit.astype(int)
+
+
+def apply_rows(
+    rows: np.ndarray, gate: str, targets: tuple[int, ...], param: float | None = None
+) -> None:
+    """Apply `gate` in place to every row of `rows`, shaped (rows, 2**n).
+
+    Targets are unchecked.  ``h``, ``x`` and the phase gates give the generic
+    2x2 product's values (an exact zero may change sign): each kept product
+    has the matrix entry on the left, as numpy rounds ``m * v``, ``v * m``
+    and ``v *= m`` apart."""
+    if gate in GATES_2Q:
+        # axes: (row, rest, bit_hi, mid, bit_lo, low) for hi > lo
+        hi, lo = sorted(targets, reverse=True)
+        view = rows.reshape(len(rows), -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        if gate == "cz":
+            view[:, :, 1, :, 1, :] *= -1.0
+            return
+        if gate == "cnot" and targets[0] > targets[1]:  # control is bit_hi
+            a, b = view[:, :, 1, :, 0, :], view[:, :, 1, :, 1, :]
+        else:  # swap exchanges |01> and |10>; cnot with control bit_lo
+            a, b = view[:, :, 0, :, 1, :], view[:, :, 1, :, int(gate == "cnot"), :]
+    elif gate == "x":
+        a, b, _ = halves(rows, targets[0])
+    else:
+        v0, v1, _ = halves(rows, targets[0])
+        m = rz_matrix(param) if gate == "rz" else GATES_1Q[gate]
+        if gate == "h":
+            s0, s1 = m[0, 0] * v0, m[0, 0] * v1
+            np.add(s0, s1, out=v0)
+            np.subtract(s0, s1, out=v1)
+        elif gate in _PHASE_GATES:
+            v1[...] = m[1, 1] * v1
+        else:
+            t0 = m[0, 0] * v0 + m[0, 1] * v1
+            v1[...] = m[1, 0] * v0 + m[1, 1] * v1
+            v0[...] = t0
+        return
+    tmp = a.copy()  # x, cnot and swap exchange two blocks
+    a[...] = b
+    b[...] = tmp
 
 
 def halves(amps: np.ndarray, q: int, phi=None):

@@ -379,6 +379,9 @@ BAD_REQUESTS = {
     "report-zero-shots": _compare_reports(shots=0),
     "report-short-ones": _compare_reports(ones={"0": [1]}),
     "report-count-above-shots": _compare_reports(ones={"0": [1, 5]}),
+    "report-joint-not-bits": _compare_reports(joints={"0": {"0z": 4}}),
+    "report-joint-wrong-width": _compare_reports(joints={"0": {"000": 4}}),
+    "report-joints-short-of-shots": _compare_reports(joints={"0": {"00": 2, "11": 1}}),
 }
 
 
@@ -451,7 +454,9 @@ def test_run_names_path_and_line_of_a_bad_byte(tmp_path, capsys, flag, mode, lin
 
 
 def test_compare_report_without_outputs(tmp_path, capsys):
-    argv = _compare_reports(output_nodes=[], ones={"0": []})(tmp_path)
+    argv = _compare_reports(output_nodes=[], ones={"0": []}, joints={"0": {"": 4}})(
+        tmp_path
+    )
     assert main(argv) == 0
     assert capsys.readouterr().out.endswith("min p-value 1\n")
 

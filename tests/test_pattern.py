@@ -411,7 +411,9 @@ def test_pattern_file_comments_and_multi_ids(tmp_path):
             ": flow from 2, which is not a measured node",
         ),
         (b"node 1\nnode 2 # \xff\n", ":2: 'utf-8' codec can't decode"),
-        (b"node 1\nnode 2\ninput 1\ninput 1\n", ": an input node is listed twice"),
+        (b"node 1\nnode 2\ninput 1\ninput 1\n", ":4: input node 1 given twice"),
+        (b"node 1\nnode 1\n", ":2: node 1 given twice"),
+        (b"node 1\nnode 2\noutput 2 2\n", ":3: output node 2 given twice"),
     ],
 )
 def test_pattern_reader_errors_name_path_and_line(tmp_path, data, where):
@@ -450,6 +452,9 @@ def test_pattern_reader_fuzz(tmp_path, capsys, edits):
         ("edge 5 4", "edge between 4 and 5 given twice"),
         ("angle 4 0", "angle of node 4 given twice"),
         ("flow 1 4", "flow from 1 given twice"),
+        ("node 4", "node 4 given twice"),
+        ("input 2", "input node 2 given twice"),
+        ("output 9", "output node 9 given twice"),
     ],
 )
 def test_repeated_pattern_record_names_its_line(tmp_path, capsys, line, message):

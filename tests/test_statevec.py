@@ -1,5 +1,7 @@
 """Gate kernel, preparation, and measurement contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from qfhesim.statevec import (
     ShotBatch,
     StateVector,
     Y_BASIS_ANGLE,
+    apply_rows,
     gate_matrix,
     make_bell_pair,
     new_plus_state,
@@ -140,6 +143,52 @@ def test_norm_preserved_by_random_sequences(ops):
         elif a != b:
             sv.apply_gate(name, (a, b))
     assert abs(sv.norm() - 1.0) < 1e-10
+
+
+def generic_1q(amps, m, q):
+    """The generic 2x2 product the kernel ran for every one-qubit gate."""
+    view = amps.reshape(-1, 2, 1 << q)
+    v0 = view[:, 0, :]
+    v1 = view[:, 1, :]
+    t0 = m[0, 0] * v0 + m[0, 1] * v1
+    t1 = m[1, 0] * v0 + m[1, 1] * v1
+    view[:, 0, :] = t0
+    view[:, 1, :] = t1
+
+
+def permuted_2q(amps, name, a, b):
+    """A two-qubit gate as the index permutation (and sign) it is."""
+    idx = np.arange(len(amps))
+    bit_a, bit_b = (idx >> a) & 1, (idx >> b) & 1
+    if name == "cz":
+        return np.where(bit_a & bit_b, -amps, amps)
+    if name == "cnot":
+        return amps[idx ^ (bit_a << b)]
+    return amps[idx ^ ((bit_a ^ bit_b) * ((1 << a) | (1 << b)))]
+
+
+@pytest.mark.parametrize("num_rows", [1, 3])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_kernel_matches_generic_product(n, num_rows):
+    # Every gate kind on every target (ordered pair), on rows with exact
+    # zeros: apply_rows gives the generic formula's amplitudes exactly.
+    rng = np.random.default_rng(1000 * n + num_rows)
+    for name in [*GATES_1Q, "rz", *GATES_2Q]:
+        arity = 2 if name in GATES_2Q else 1
+        for targets in itertools.permutations(range(n), arity):
+            rows = rng.normal(size=(num_rows, 1 << n)) + 1j * rng.normal(
+                size=(num_rows, 1 << n)
+            )
+            rows[rng.random(rows.shape) < 0.25] = 0.0
+            param = float(rng.uniform(-pi, pi)) if name == "rz" else None
+            want = rows.copy()
+            for row in want:
+                if arity == 1:
+                    generic_1q(row, gate_matrix(name, param), targets[0])
+                else:
+                    row[:] = permuted_2q(row, name, *targets)
+            apply_rows(rows, name, targets, param)
+            assert np.array_equal(rows, want), (name, targets)
 
 
 # -- Bell pairs -----------------------------------------------------------

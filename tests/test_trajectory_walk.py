@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qfhesim import noise, statevec
-from qfhesim.circuit import circuit, ladder16, measure
+from qfhesim.circuit import circuit, compact_wires, ladder16, measure
 from qfhesim.compiler import compile_qfhe_to_circuit
 from qfhesim.harness import default_placement, input_bits_of, reference_pattern
 from qfhesim.noise import NoiseModel, noisy_execute, schedule_layers
@@ -79,7 +79,7 @@ def scalar_trajectory(circ, program, model, shot_rng):
 
 
 def scalar_readouts(circ, model, shots, rng):
-    circ, _ = noise._compact_wires(circ)
+    circ, _ = compact_wires(circ)
     program = scalar_program(circ, model)
     meas_wires = [ins.wires[0] for ins in circ.measurements]
     seeds = rng.integers(0, 2**63, size=shots)
