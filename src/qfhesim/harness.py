@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.inputs:
             raise ValueError("no inputs to run")
         if len(set(self.inputs)) != len(self.inputs):

@@ -7,7 +7,12 @@ probability ``p_idle``; readout bits flip with probability ``p_ro``.  The
 all-zero model is exactly the noiseless channel.
 
 A Pauli event does not depend on the state, so each shot draws its events
-first; shots with the same events share one simulation, and trajectories
+first.  An event that only Clifford gates carry to the readout reaches it as
+a Pauli (a Pauli frame): its Z part leaves a computational readout alone and
+its X part XORs a fixed mask into the readout index.  So each shot's events
+split into a *core*, the events a ``t``, ``tdg`` or ``rz`` gate blocks by
+meeting an X part, which are simulated, and the XOR of the other events'
+masks.  Shots with the same core share one simulation, and trajectories
 share the states of their common prefix.
 """
 
@@ -190,6 +195,59 @@ def _signature(sites, rng: np.random.Generator) -> tuple:
     return tuple(events)
 
 
+def _pauli_frames(num_wires: int, steps) -> dict:
+    """Where a Pauli inserted at each site ends up, from one backward sweep.
+
+    Maps each site's step to one ``(x, z)`` pair per wire of the site: the
+    entries of X and Z on that wire.  An entry is an int: its low
+    ``num_wires`` bits are the X part the Pauli has at the end of the
+    circuit, and each higher bit is one ``t``/``tdg``/``rz`` gate the
+    propagated Pauli reaches with an X part on its wire.  Conjugation by a
+    Clifford gate is linear over GF(2), so a product of Paulis has the XOR
+    of their entries; past a blocking gate the sweep carries X on as X,
+    which keeps that linearity and leaves the earliest blocking gate exact.
+    ``rz`` blocks at every angle: ``rz(pi/2)`` takes its phase from
+    ``exp(1j*pi/2)``, which is not exactly ``1j``.
+    """
+    x = [1 << w for w in range(num_wires)]
+    z = [0] * num_wires
+    block = 1 << num_wires
+    frames = {}
+    for step in range(len(steps) - 1, -1, -1):
+        name, wires, _ = steps[step]
+        if name is None:
+            frames[step] = [(x[w], z[w]) for w in wires]
+            continue
+        a, b = wires[0], wires[-1]
+        if name == "h":
+            x[a], z[a] = z[a], x[a]
+        elif name in ("s", "sdg"):  # X -> XZ
+            x[a] ^= z[a]
+        elif name in ("t", "tdg", "rz"):
+            x[a] ^= block
+            block <<= 1
+        elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+            x[a] ^= x[b]
+            z[b] ^= z[a]
+        elif name == "cz":  # X_a -> X_a Z_b
+            x[a], x[b] = x[a] ^ z[b], x[b] ^ z[a]
+        elif name == "swap":
+            x[a], x[b], z[a], z[b] = x[b], x[a], z[b], z[a]
+        # x, y and z leave every Pauli as it is, up to sign.
+    return frames
+
+
+def _frame_entry(frame, code: int) -> int:
+    """The entry of Pauli ``code`` at a site whose wires have ``frame``."""
+    entry = 0
+    for (x, z), a in zip(frame, (code & 3, code >> 2)):
+        if a in (1, 2):  # X or Y
+            entry ^= x
+        if a in (2, 3):  # Y or Z
+            entry ^= z
+    return entry
+
+
 def _run(state: StateVector, steps, start: int, stop: int, events: dict) -> None:
     """Apply ``steps[start:stop]``, with the Pauli of each event in ``events``."""
     for step in range(start, stop):
@@ -210,7 +268,8 @@ def _first_difference(a: tuple, b: tuple) -> int:
 
 def _walk(num_wires: int, steps, signatures):
     """Yield each distinct signature with the register at the end of its
-    trajectory.
+    trajectory.  ``_readouts`` passes the shots' cores: only the events a
+    ``t``, ``tdg`` or ``rz`` gate blocks.
 
     A trajectory starts from the deepest held state on its path and, on its
     way, keeps a copy at each step where a later signature parts from it;
@@ -269,11 +328,22 @@ def _walk(num_wires: int, steps, signatures):
 def _readouts(
     circ: Circuit, model: NoiseModel, shots: int, rng: np.random.Generator
 ) -> list[str]:
-    """Each shot's readout string, in shot order (see ``noisy_execute``)."""
+    """Each shot's readout string, in shot order (see ``noisy_execute``).
+
+    Each shot's events split into its core and its mask (``_pauli_frames``);
+    ``_walk`` simulates each distinct core once, and each leaf takes
+    ``|amps|**2`` once and reads it as ``p0[idx ^ mask]`` for each mask.
+    That array equals the scalar loop's ``|amps|**2`` bit for bit: every
+    Clifford kind in ``apply_rows`` acts through permutations, negations and
+    products with +-1 or +-i, which commute exactly with a Pauli, and Z
+    through ``t``/``tdg``/``rz`` is a negation.  So the sum, the cdf and
+    every readout string are the scalar loop's.
+    """
     circ.require_terminal_measurements()
     if not circ.measurements:
         raise ValueError("circuit has no measurements")
     circ, _ = compact_wires(circ)
+    n = circ.num_wires
     steps, sites = _program(circ, model)
     meas_wires = [ins.wires[0] for ins in circ.measurements]
 
@@ -282,24 +352,39 @@ def _readouts(
     seeds = rng.integers(0, 2**63, size=shots)
     leaf_draws = 1 + (len(meas_wires) if model.p_ro > 0.0 else 0)
     uniforms = np.empty((shots, leaf_draws))
-    shots_of: dict[tuple, list[int]] = {}
+    signatures = []
     for shot in range(shots):
         shot_rng = np.random.default_rng(seeds[shot])
-        shots_of.setdefault(_signature(sites, shot_rng), []).append(shot)
+        signatures.append(_signature(sites, shot_rng))
         uniforms[shot] = shot_rng.random(leaf_draws)
 
+    # shots_of[core][mask]: the shots with that core and readout mask.
+    frames = _pauli_frames(n, steps) if any(signatures) else {}
+    shots_of: dict[tuple, dict[int, list[int]]] = {}
+    for shot, events in enumerate(signatures):
+        core, mask = [], 0
+        for step, code in events:
+            entry = _frame_entry(frames[step], code)
+            if entry >> n:
+                core.append((step, code))
+            else:
+                mask ^= entry
+        shots_of.setdefault(tuple(core), {}).setdefault(mask, []).append(shot)
+
     readouts = [""] * shots
-    for events, state in _walk(circ.num_wires, steps, shots_of):
-        probs = np.abs(state.amps) ** 2
-        probs /= probs.sum()
-        cdf = np.cumsum(probs)
-        for shot in shots_of[events]:
-            u = uniforms[shot]
-            outcome = min(int(np.searchsorted(cdf, u[0])), len(probs) - 1)
-            bits = [(outcome >> w) & 1 for w in meas_wires]
-            if model.p_ro > 0.0:
-                bits = [b ^ 1 if f < model.p_ro else b for b, f in zip(bits, u[1:])]
-            readouts[shot] = "".join(map(str, bits))
+    for core, state in _walk(n, steps, shots_of):
+        p0 = np.abs(state.amps) ** 2
+        for mask, group in shots_of[core].items():
+            probs = p0[np.arange(1 << n) ^ mask] if mask else p0
+            probs = probs / probs.sum()
+            cdf = np.cumsum(probs)
+            for shot in group:
+                u = uniforms[shot]
+                outcome = min(int(np.searchsorted(cdf, u[0])), len(probs) - 1)
+                bits = [(outcome >> w) & 1 for w in meas_wires]
+                if model.p_ro > 0.0:
+                    bits = [b ^ 1 if f < model.p_ro else b for b, f in zip(bits, u[1:])]
+                readouts[shot] = "".join(map(str, bits))
     return readouts
 
 
@@ -309,8 +394,9 @@ def noisy_execute(
     """Sampled readout strings with per-shot Pauli insertion trajectories.
 
     Shots run on independent seed-derived streams, so the merged counts do
-    not depend on execution order.  A shot's events are drawn first, and
-    each distinct set of events is simulated once (``_walk``); every shot's
-    string equals that of simulating it alone.
+    not depend on execution order.  A shot's events are drawn first; the
+    events only Clifford gates carry to the readout become an XOR mask on
+    its index, and each distinct set of the others is simulated once
+    (``_walk``).  Every shot's string equals that of simulating it alone.
     """
     return Counter(_readouts(circ, model, shots, rng))

@@ -353,6 +353,7 @@ BAD_REQUESTS = {
     "out-is-a-file": _run_onto_existing_file,
     "duplicate-inputs": lambda t: _run_args(t, "--inputs", "0,0,1"),
     "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
+    "negative-seed": lambda t: _run_args(t, "--seed", "-1"),
     "placement-bad-label": _run_with_placement("x1 3\n"),
     "placement-repeated-label": _run_with_placement("1 0\n1 3\n"),
     "noise-outside-noisy-mode": _run_with_file("--noise", "noise.txt", "p2 0.5\n"),
@@ -397,6 +398,8 @@ def test_cli_validation_error_exit_code(tmp_path, case):
         assert proc.stderr.startswith(f"error: {report}: malformed report")
     if case == "out-is-a-file":
         assert (tmp_path / "taken").read_text() == "keep\n"
+    if case == "negative-seed":
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(
