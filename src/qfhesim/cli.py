@@ -76,7 +76,10 @@ def _cmd_run(args) -> int:
     if args.inputs is None:
         inputs = list(range(1 << len(pattern.graph.inputs)))
     else:
-        inputs = [int(v) for v in args.inputs.split(",") if v != ""]
+        items = args.inputs.split(",")
+        if "" in items:
+            raise ValueError(f"--inputs {args.inputs!r} has an empty item")
+        inputs = [int(v) for v in items]
 
     noise_model = None
     if args.noise:
@@ -132,6 +135,8 @@ def _table_from_report(path: Path) -> harness.CountsTable:
 
 
 def _cmd_compare(args) -> int:
+    if not 0.0 <= args.p_threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"--p-threshold {args.p_threshold} outside [0, 1]")
     ta = _table_from_report(Path(args.a))
     tb = _table_from_report(Path(args.b))
     stats = harness.compare_tables(ta, tb)

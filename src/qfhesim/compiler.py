@@ -158,6 +158,9 @@ def compile_qfhe_to_circuit(
     if coupling is not None:
         if placement is None:
             raise CompileError("routing requires a placement")
+        for label in placement:
+            if label not in wire_of:
+                raise CompileError(f"placement names {label!r}, no wire of the pattern")
         phys = {}
         for label, w in wire_of.items():
             if label not in placement:

@@ -12,8 +12,9 @@ a Pauli (a Pauli frame): its Z part leaves a computational readout alone and
 its X part XORs a fixed mask into the readout index.  So each shot's events
 split into a *core*, the events a ``t``, ``tdg`` or ``rz`` gate blocks by
 meeting an X part, which are simulated, and the XOR of the other events'
-masks.  Shots with the same core share one simulation, and trajectories
-share the states of their common prefix.
+masks.  Shots with the same core share one simulation, and the cores run
+as the rows of one array, each gate once per distinct set of events before
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compact_wires, read_records
-from .statevec import StateVector, rows_per_chunk
+from .statevec import StateVector, apply_rows, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
 
@@ -93,13 +94,12 @@ def _pauli_code(num_wires: int, p: float, rng: np.random.Generator) -> int:
     return 1 + int(rng.integers(3 if num_wires == 1 else 15))
 
 
-def _apply_pauli(state: StateVector, wires, code: int) -> StateVector:
-    """The apply half: Pauli ``code & 3`` on the first wire, ``code >> 2`` on
-    the second (1, 2, 3 = X, Y, Z; 0 leaves the wire alone)."""
+def _apply_pauli(rows: np.ndarray, wires, code: int) -> None:
+    """The apply half, on every row: Pauli ``code & 3`` on the first wire,
+    ``code >> 2`` on the second (1, 2, 3 = X, Y, Z; 0 leaves the wire alone)."""
     for w, a in zip(wires, (code & 3, code >> 2)):
         if a:
-            state.apply_gate(_PAULIS[a - 1], (w,))
-    return state
+            apply_rows(rows, _PAULIS[a - 1], (w,))
 
 
 def depolarize(
@@ -113,7 +113,10 @@ def depolarize(
     wires = tuple(wires)
     if len(wires) not in (1, 2):
         raise ValueError("depolarize acts on one or two wires")
-    return _apply_pauli(state, wires, _pauli_code(len(wires), p, rng))
+    for w in wires:
+        state._check_targets((w,), 1)
+    _apply_pauli(state.amps[None, :], wires, _pauli_code(len(wires), p, rng))
+    return state
 
 
 def flip_readout(bit: int, p_ro: float, rng: np.random.Generator) -> int:
@@ -248,81 +251,44 @@ def _frame_entry(frame, code: int) -> int:
     return entry
 
 
-def _run(state: StateVector, steps, start: int, stop: int, events: dict) -> None:
-    """Apply ``steps[start:stop]``, with the Pauli of each event in ``events``."""
-    for step in range(start, stop):
-        name, wires, param = steps[step]
-        if name is not None:
-            state.apply_gate(name, wires, param)
-        elif step in events:
-            _apply_pauli(state, wires, events[step])
-
-
-def _first_difference(a: tuple, b: tuple) -> int:
-    """The step at which the trajectories of two distinct signatures part."""
-    k = 0
-    while k < len(a) and k < len(b) and a[k] == b[k]:
-        k += 1
-    return min(event[0] for event in (*a[k : k + 1], *b[k : k + 1]))
-
-
 def _walk(num_wires: int, steps, signatures):
-    """Yield each distinct signature with the register at the end of its
-    trajectory.  ``_readouts`` passes the shots' cores: only the events a
-    ``t``, ``tdg`` or ``rz`` gate blocks.
+    """Yield each distinct signature with a copy of the amplitudes at the
+    end of its trajectory (a view would keep its chunk's rows alive while
+    the next chunk runs).  ``_readouts`` passes the shots' cores: only the
+    events a ``t``, ``tdg`` or ``rz`` gate blocks.
 
-    A trajectory starts from the deepest held state on its path and, on its
-    way, keeps a copy at each step where a later signature parts from it;
-    copies no later signature can use are dropped.  Signatures run sorted
-    by their events, "no further event" ranking after every event, so those
-    sharing a state are neighbours and, budget allowing, each gate runs once
-    per distinct set of events before it.  At most
-    ``rows_per_chunk(num_wires)`` registers are held, the working one
-    included.  Where that budget is full no copy is kept, and a later
-    trajectory re-runs from an earlier copy or from |0...0>.  Every state is
-    the scalar loop's, operation for operation.
+    Breadth-first, over chunks of the signatures sorted with "no further
+    event" after every event, so those sharing events are neighbours: each
+    row of ``rows`` holds one distinct set of the chunk's events so far, so
+    each gate, one ``apply_rows`` call, runs once per such set.  Where an
+    event fires, the rows are re-indexed to one per (parent row, Pauli),
+    grouped by Pauli.  A chunk of ``rows_per_chunk(num_wires + 1)``
+    signatures keeps the rows and that copy within ``SHOT_CHUNK_BYTES``.
+    Every row goes through the scalar loop's elementwise operations.
     """
     end = ((len(steps), 0),)
     signatures = sorted(signatures, key=lambda events: events + end)
-    budget = rows_per_chunk(num_wires)
-    # parts[j]: the step where signature j + 1 parts from j (-1: none left).
-    # Signature m parts from j at min(parts[j:m]), so j keeps copies at the
-    # suffix minima of parts[j:], found through the next smaller entry.
-    parts = [_first_difference(a, b) for a, b in zip(signatures, signatures[1:])]
-    parts.append(-1)
-    smaller = [len(parts) - 1] * len(parts)
-    pending: list[int] = []
-    for j, step in enumerate(parts):
-        while pending and parts[pending[-1]] > step:
-            smaller[pending.pop()] = j
-        pending.append(j)
-
-    state = StateVector(num_wires)
-    held: list[tuple[int, StateVector]] = []
-    for j, events in enumerate(signatures):
-        # Start from the deepest held state, in the one working buffer.
-        if not held:
-            pos = 0
-            state.amps[:] = 0.0
-            state.amps[0] = 1.0
-        else:
-            pos, start = held[-1] if parts[j] >= held[-1][0] else held.pop()
-            state.amps[:] = start.amps
-        keep = []
-        t = j
-        while parts[t] > pos:
-            keep.append(parts[t])
-            t = smaller[t]
-        events_at = dict(events)
-        for step in reversed(keep):
-            _run(state, steps, pos, step, events_at)
-            pos = step
-            if len(held) + 1 < budget:
-                held.append((step, state.copy()))
-        _run(state, steps, pos, len(steps), events_at)
-        yield events, state
-        while held and held[-1][0] > parts[j]:
-            held.pop()
+    size = rows_per_chunk(num_wires + 1)
+    for lo in range(0, len(signatures), size):
+        chunk = signatures[lo : lo + size]
+        codes = [dict(events) for events in chunk]
+        fired = {step for events in chunk for step, _ in events}
+        rows = np.zeros((1, 1 << num_wires), dtype=complex)
+        rows[0, 0] = 1.0
+        row_of = np.zeros(len(chunk), dtype=np.int64)
+        for step, (name, wires, param) in enumerate(steps):
+            if name is not None:
+                apply_rows(rows, name, wires, param)
+            elif step in fired:
+                code = np.array([at.get(step, 0) for at in codes])
+                keys, row_of = np.unique(code * len(rows) + row_of, return_inverse=True)
+                pauli, parent = np.divmod(keys, len(rows))
+                rows = rows[parent]
+                for c in set(pauli.tolist()) - {0}:
+                    a, b = np.searchsorted(pauli, (c, c + 1))
+                    _apply_pauli(rows[a:b], wires, c)
+        for events, row in zip(chunk, row_of):
+            yield events, rows[row].copy()
 
 
 def _readouts(
@@ -372,8 +338,8 @@ def _readouts(
         shots_of.setdefault(tuple(core), {}).setdefault(mask, []).append(shot)
 
     readouts = [""] * shots
-    for core, state in _walk(n, steps, shots_of):
-        p0 = np.abs(state.amps) ** 2
+    for core, amps in _walk(n, steps, shots_of):
+        p0 = np.abs(amps) ** 2
         for mask, group in shots_of[core].items():
             probs = p0[np.arange(1 << n) ^ mask] if mask else p0
             probs = probs / probs.sum()

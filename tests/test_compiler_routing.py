@@ -236,6 +236,15 @@ def test_compile_requires_placement_for_routing():
         compile_qfhe_to_circuit(ref, [0, 0, 0], coupling=ladder16())
 
 
+@pytest.mark.parametrize("label", [99, ("companion", 5)])
+def test_compile_rejects_a_placement_label_naming_no_wire(label):
+    # Node 5 has angle pi/2, so no companion; physical node 15 is free.
+    ref = reference_pattern()
+    placement = {**default_placement(ref), label: 15}
+    with pytest.raises(CompileError, match=re.escape(repr(label))):
+        compile_qfhe_to_circuit(ref, [0, 0, 0], placement=placement, coupling=ladder16())
+
+
 @pytest.mark.parametrize("tamper", ["constant", "drop-predecessor", "extra-symbol"])
 def test_symbolic_check_rejects_a_wrong_wire_value(monkeypatch, tamper):
     # Node 5 (angle pi/2) fans in its predecessor 2; spoil what its wire is

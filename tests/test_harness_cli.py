@@ -325,12 +325,14 @@ def _run_onto_existing_file(tmp_path):
     return _run_args(tmp_path, out="taken")
 
 
-def _run_with_placement(text):
+def _run_with_placement(text, mode="qfhe"):
     def args(tmp_path):
         (tmp_path / "placement.txt").write_text(text)
         coupling = str(REPO / "couplings" / "ladder16.txt")
         placement = str(tmp_path / "placement.txt")
-        return _run_args(tmp_path, "--coupling", coupling, "--placement", placement)
+        argv = _run_args(tmp_path, "--coupling", coupling, "--placement", placement)
+        argv[argv.index("--mode") + 1] = mode
+        return argv
 
     return args
 
@@ -346,6 +348,11 @@ def _run_with_file(flag, name, text, mode="qfhe"):
 
 
 LADDER = str(REPO / "couplings" / "ladder16.txt")
+# The reference pattern's default placement as a placement file.
+REFERENCE_PLACEMENT = "".join(
+    f"{f'c{label[1]}' if isinstance(label, tuple) else label} {phys}\n"
+    for label, phys in default_placement(reference_pattern()).items()
+)
 
 BAD_REQUESTS = {
     "missing-pattern": lambda t: _run_args(t, pattern=str(t / "missing.txt")),
@@ -353,9 +360,13 @@ BAD_REQUESTS = {
     "out-is-a-file": _run_onto_existing_file,
     "duplicate-inputs": lambda t: _run_args(t, "--inputs", "0,0,1"),
     "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
+    "empty-input-items": lambda t: _run_args(t, "--inputs", ",3,,"),
     "negative-seed": lambda t: _run_args(t, "--seed", "-1"),
     "placement-bad-label": _run_with_placement("x1 3\n"),
     "placement-repeated-label": _run_with_placement("1 0\n1 3\n"),
+    "placement-unknown-label": _run_with_placement(
+        REFERENCE_PLACEMENT + "99 15\n", "qfhe-circuit"
+    ),
     "noise-outside-noisy-mode": _run_with_file("--noise", "noise.txt", "p2 0.5\n"),
     "coupling-outside-circuit-modes": lambda t: _run_args(t, "--coupling", LADDER),
     "placement-outside-circuit-modes": _run_with_file(
@@ -383,6 +394,8 @@ BAD_REQUESTS = {
     "report-joint-not-bits": _compare_reports(joints={"0": {"0z": 4}}),
     "report-joint-wrong-width": _compare_reports(joints={"0": {"000": 4}}),
     "report-joints-short-of-shots": _compare_reports(joints={"0": {"00": 2, "11": 1}}),
+    "p-threshold-negative": lambda t: [*_compare_reports()(t), "--p-threshold=-1"],
+    "p-threshold-nan": lambda t: [*_compare_reports()(t), "--p-threshold", "nan"],
 }
 
 

@@ -182,7 +182,8 @@ def test_random_compiled_pattern_shots_equal_the_scalar_loop():
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_shots_equal_the_scalar_loop_when_the_budget_is_short(monkeypatch, budget):
     # Heavy noise gives deep, branching signature trees; a budget of one to
-    # three registers forces re-runs from earlier states.
+    # three registers leaves room for one row and its re-indexed copy, so
+    # each core runs in a chunk of its own.
     wires = 5
     monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", budget * 16 << wires)
     assert rows_per_chunk(wires) == budget
@@ -191,99 +192,82 @@ def test_shots_equal_the_scalar_loop_when_the_budget_is_short(monkeypatch, budge
     assert_same_shots(circ, NoiseModel(0.05, 0.1, 0.02, 0.05), 120, 74)
 
 
-class HistoryState:
-    """Stands in for ``StateVector`` in the walk: it keeps the operations
-    applied to it instead of amplitudes, and counts the instances alive."""
-
-    live = peak = gates = 0
-
-    def __init__(self, num_qubits):
-        self.num_qubits = num_qubits
-        self.amps = np.empty(1, dtype=object)
-        self.amps[0] = ()
-        HistoryState.live += 1
-        HistoryState.peak = max(HistoryState.peak, HistoryState.live)
-
-    def __del__(self):
-        HistoryState.live -= 1
-
-    def copy(self):
-        other = HistoryState(self.num_qubits)
-        other.amps[:] = self.amps
-        return other
-
-    def apply_gate(self, name, wires, param=None):
-        # The walk resets its working state to |0...0> by writing 0, then 1.
-        done = self.amps[0] if isinstance(self.amps[0], tuple) else ()
-        HistoryState.gates += name not in PAULIS
-        self.amps[0] = (*done, (name, tuple(wires), param))
-        return self
-
-
-def expected_history(steps, events):
+def trajectory_amps(num_wires, steps, events):
+    """One signature's trajectory, step by step on its own ``StateVector``."""
+    sv = StateVector(num_wires)
     at = dict(events)
-    done = []
     for step, (name, wires, param) in enumerate(steps):
         if name is not None:
-            done.append((name, tuple(wires), param))
+            sv.apply_gate(name, wires, param)
         elif step in at:
             for w, a in zip(wires, (at[step] & 3, at[step] >> 2)):
                 if a:
-                    done.append((PAULIS[a - 1], (w,), None))
-    return tuple(done)
+                    sv.apply_gate(PAULIS[a - 1], (w,))
+    return sv.amps
 
 
-@pytest.mark.parametrize("wires", [11, 16, 20])
-@pytest.mark.parametrize("shrink", [1, 8])
-def test_walk_holds_states_within_the_budget(monkeypatch, wires, shrink):
-    # Computed sizes only: the stand-in state holds no amplitudes.  Under
-    # p = 1 noise every site fires, so the signatures branch at every
-    # depolarizing site; each yielded history must be its signature's.
-    chunk = statevec.SHOT_CHUNK_BYTES // shrink
-    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", chunk)
-    monkeypatch.setattr(noise, "StateVector", HistoryState)
-    budget = rows_per_chunk(wires)
-    assert budget == max(1, chunk // (16 << wires))
-    gen = np.random.default_rng(75)
-    circ = measured(random_circuit(gen, wires, 3 * wires))
-    steps, sites = noise._program(circ, NoiseModel(1.0, 1.0, 1.0, 1.0))
-    signatures = {noise._signature(sites, np.random.default_rng([75, s])) for s in range(300)}
-    HistoryState.live = HistoryState.peak = 0
+def noise_apply_rows_calls(monkeypatch):
+    """Record ``(gate, rows, nbytes)`` of every ``apply_rows`` call in ``noise``."""
+    calls = []
+    real = noise.apply_rows
+
+    def spy(rows, gate, targets, param=None):
+        calls.append((gate, len(rows), rows.nbytes))
+        real(rows, gate, targets, param)
+
+    monkeypatch.setattr(noise, "apply_rows", spy)
+    return calls
+
+
+def assert_walk_yields_each_trajectory(num_wires, steps, signatures):
+    # Byte-equal, signed zeros included: the rows compare as raw 64-bit words.
     seen = []
-    for events, state in noise._walk(wires, steps, signatures):
-        assert state.amps[0] == expected_history(steps, events)
+    for events, amps in noise._walk(num_wires, steps, signatures):
+        want = trajectory_amps(num_wires, steps, events)
+        assert np.array_equal(amps.view(np.uint64), want.view(np.uint64)), events
         seen.append(events)
     assert sorted(seen) == sorted(signatures)
-    assert 1 <= HistoryState.peak <= budget
-    assert HistoryState.peak * (16 << wires) <= max(chunk, 16 << wires)
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3, 5])
-def test_walk_yields_each_signature_of_a_complete_tree(monkeypatch, budget):
+@pytest.mark.parametrize("wires, chunk", [(16, 1 << 18), (16, 1 << 22), (20, 1 << 20)])
+def test_walk_keeps_rows_within_the_budget(monkeypatch, wires, chunk):
+    # Short circuits on real rows.  Under p = 1 gate noise every site fires,
+    # so every signature has an event at every site.  No call may hold more
+    # than one row or half the budget, so a chunk's rows and their
+    # re-indexed copy fit the budget together.
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", chunk)
+    calls = noise_apply_rows_calls(monkeypatch)
+    gen = np.random.default_rng(75)
+    circ = measured(random_circuit(gen, wires, 4))
+    steps, sites = noise._program(circ, NoiseModel(1.0, 1.0, 0.0, 0.0))
+    signatures = {noise._signature(sites, np.random.default_rng([75, s])) for s in range(5)}
+    assert len(signatures) == 5
+    assert_walk_yields_each_trajectory(wires, steps, signatures)
+    row = 16 << wires
+    assert max(nbytes for _, _, nbytes in calls) <= max(chunk // 2, row)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5, 256])
+def test_walk_yields_each_signature_of_a_complete_tree(monkeypatch, chunk_rows):
     # Every choice of event at four sites, among them signatures that are
-    # prefixes of others: the copies the walk keeps must give each signature
-    # its own history whatever the budget.  With room for a copy per site,
-    # each gate runs once per distinct set of events before it.
+    # prefixes of others: whatever the chunk, each row must be its
+    # signature's trajectory.  With the whole tree in one chunk, each gate
+    # runs once per distinct set of events before it.
     wires = 2
-    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", budget * 16 << wires)
-    monkeypatch.setattr(noise, "StateVector", HistoryState)
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", chunk_rows * 16 << (wires + 1))
+    assert rows_per_chunk(wires + 1) == chunk_rows
+    calls = noise_apply_rows_calls(monkeypatch)
     steps = [step for w in (0, 1, 0, 1) for step in (("h", (w,), None), (None, (w,), None))]
     sites = [1, 3, 5, 7]
     signatures = [
         tuple((step, code) for step, code in zip(sites, codes) if code)
         for codes in itertools.product(range(4), repeat=len(sites))
     ]
-    HistoryState.live = HistoryState.peak = HistoryState.gates = 0
-    seen = []
-    for events, state in noise._walk(wires, steps, signatures):
-        assert state.amps[0] == expected_history(steps, events)
-        seen.append(events)
-    assert sorted(seen) == sorted(signatures)
-    assert HistoryState.peak <= budget
+    assert_walk_yields_each_trajectory(wires, steps, signatures)
     prefixes = [
         {tuple(e for e in events if e[0] < step) for events in signatures}
         for step, (name, _, _) in enumerate(steps)
         if name is not None
     ]
-    if budget > len(sites):
-        assert HistoryState.gates == sum(map(len, prefixes))
+    if chunk_rows >= len(signatures):
+        assert sum(rows for gate, rows, _ in calls if gate == "h") == sum(map(len, prefixes))
