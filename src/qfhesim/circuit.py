@@ -15,6 +15,7 @@ from math import pi
 
 import numpy as np
 
+from . import statevec
 from .statevec import GATE_ARITY, StateVector, apply_rows, rows_per_chunk
 
 EQUIV_TOL = 1e-9
@@ -198,11 +199,14 @@ def sample_counts(
     keys = sorted(dist)
     p = np.array([dist[k] for k in keys])
     p = p / p.sum()
-    draws = rng.choice(len(keys), size=shots, p=p)
-    out: Counter = Counter()
-    for d in draws:
-        out[keys[int(d)]] += 1
-    return out
+    # Draws of 8 bytes each, in chunks within the byte budget, leave the
+    # stream where one draw of `shots` would.
+    tally = np.zeros(len(keys), dtype=np.int64)
+    step = statevec.SHOT_CHUNK_BYTES // 8
+    for lo in range(0, shots, step):
+        draws = rng.choice(len(keys), size=min(step, shots - lo), p=p)
+        tally += np.bincount(draws, minlength=len(keys))
+    return Counter({k: int(c) for k, c in zip(keys, tally) if c})
 
 
 def _require_unitary(circ: Circuit) -> None:
@@ -464,6 +468,8 @@ def load_coupling(path) -> CouplingMap:
             (num_nodes,) = map(int, tokens)
         elif tokens[0] == "edge":
             c, t = map(int, tokens[1:])
+            if (c, t) in edges:
+                raise ValueError(f"edge {c} {t} given twice")
             edges.add((c, t))
         else:
             raise ValueError(f"unknown record {tokens[0]!r}")

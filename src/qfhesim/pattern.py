@@ -20,12 +20,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 
 from .circuit import Circuit, circuit, final_state, gate, read_records
-from .statevec import ShotBatch, StateVector, new_plus_state
+from .statevec import ZERO_BRANCH_P, BranchBatch, ShotBatch, StateVector, new_plus_state
 
 # Angle grid: angles are k * pi/4.  Pattern files and deferred corrections
 # admit only the canonical set below; in-memory patterns may carry any k so
@@ -222,7 +222,7 @@ class PatternPlan:
         x = b[p] if p is not None else 0
         z = keys.get(node, 0)
         for j in self.zdeps[node]:
-            z ^= b[j]
+            z = z ^ b[j]  # bits may broadcast to a larger shape
         return x, z
 
     def corrected_output(self, o: int, raw, b):
@@ -377,17 +377,25 @@ def interactive_rows(
     """Interactive runs of one shot per generator, as rows of one ShotBatch.
 
     Each row draws one uniform per measured node, in flow order, then one
-    per output when ``measure_outputs`` is set.  Returns ``(s, b, batch)``:
-    per node, the raw and the corrected bits of every row (they coincide on
-    measured nodes, whose angles are adapted), and the batch, which holds
-    only the output wires once the measured nodes are gone.
+    per output when ``measure_outputs`` is set.  Returns ``interactive_on``'s
+    ``(s, b)`` and the batch, which holds only the output wires once the
+    measured nodes are gone.
     """
     plan = pattern.plan
     keys = input_keys(pattern, input_bits)
-    draws = len(pattern.flow.order)
-    if measure_outputs:
-        draws += len(pattern.graph.outputs)
+    draws = len(pattern.graph.nodes) if measure_outputs else len(pattern.flow.order)
     batch = ShotBatch(plan.graph_register, rngs, draws)
+    return (*interactive_on(pattern, keys, batch, measure_outputs), batch)
+
+
+def interactive_on(pattern: MeasurementPattern, keys, batch, measure_outputs=True):
+    """The interactive sequence on a ShotBatch or a BranchBatch.
+
+    Measured nodes in flow order at adapted angles, then the outputs when
+    ``measure_outputs`` is set.  Returns ``(s, b)``: per node, the raw and
+    the corrected bits of every row (equal on measured nodes).
+    """
+    plan = pattern.plan
     s: dict = {}
     b: dict = {}
     for i in pattern.flow.order:
@@ -398,7 +406,7 @@ def interactive_rows(
         for o in pattern.graph.outputs:
             s[o] = batch.measure(plan.wire_of[o])
             b[o] = plan.corrected_output(o, s[o], b)
-    return s, b, batch
+    return s, b
 
 
 def run_interactive(
@@ -456,30 +464,19 @@ def j_branch_states(alpha: float, input_state: np.ndarray):
     """Both outcome branches of a J(alpha) step applied to a 1-qubit state.
 
     Returns [(probability, corrected_output_amplitudes), ...] for outcomes
-    0 and 1, with the X correction already applied on the second branch.
+    0 and 1, with the X correction already applied on the second branch,
+    or (0.0, None) for a branch of p <= ZERO_BRANCH_P: the two rows of a
+    BranchBatch split on the input qubit.
     """
     psi = np.asarray(input_state, dtype=complex)
+    sv = StateVector(2, np.tile(psi, 2) * sqrt(0.5))  # psi on qubit 0, |+> on 1
+    batch = BranchBatch(sv.apply_gate("cz", (0, 1)))
+    batch.measure(0, -alpha)
     branches = []
-    for outcome in (0, 1):
-        amps = np.zeros(4, dtype=complex)
-        for b1 in (0, 1):
-            for b0 in (0, 1):
-                amps[b0 + 2 * b1] = psi[b0] * (1 / np.sqrt(2))
-        sv = StateVector(2, amps)
-        sv.apply_gate("cz", (0, 1))
-        p = sv.project_rotated(0, -alpha, outcome)
-        if p == 0.0:
-            branches.append((0.0, None))
-            continue
-        # Qubit 0 is collapsed, so either of its columns carries the pure
-        # qubit-1 state.
-        col0 = sv.amps[[0, 2]]
-        col1 = sv.amps[[1, 3]]
-        vec = col0 if np.linalg.norm(col0) >= np.linalg.norm(col1) else col1
-        vec = vec / np.linalg.norm(vec)
-        if outcome == 1:
-            vec = vec[::-1]
-        branches.append((p, vec))
+    for bit, vec in enumerate(batch.amps):
+        p = float(np.vdot(vec, vec).real)
+        vec = vec[::-1] if bit else vec  # the X correction
+        branches.append((p, vec / sqrt(p)) if p > ZERO_BRANCH_P else (0.0, None))
     return branches
 
 

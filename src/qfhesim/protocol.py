@@ -21,19 +21,17 @@ computational basis and corrected by their predecessor's b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
 
 import numpy as np
 
-from .circuit import readout_code
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
-    _corrected_angle_k,
     _with_input_flips,
     input_keys,
+    interactive_on,
 )
-from .statevec import ZERO_BRANCH_P, ShotBatch, Y_BASIS_ANGLE, halves
+from .statevec import BranchBatch, ShotBatch, Y_BASIS_ANGLE
 
 DIST_TOL = 1e-9
 MAX_ENUMERATED_MEASUREMENTS = 12
@@ -196,16 +194,25 @@ def qfhe_rows(pattern: MeasurementPattern, input_bits, rngs):
     """Protocol runs of one shot per generator, as rows of one ShotBatch.
 
     Each row draws one uniform per measured node in flow order, then one
-    per output, then one per companion in flow order.  Returns ``(s, alpha,
-    b)``: per node, the bits of every row; ``s`` holds the server's raw
-    outcomes and then its raw output readouts, ``alpha`` the companion
+    per output, then one per companion in flow order.  Returns
+    ``qfhe_on``'s ``(s, alpha, b)``.
+    """
+    keys = input_keys(pattern, encode_input(input_bits))
+    draws = len(pattern.plan.wire_of)  # every wire is read once
+    return qfhe_on(pattern, keys, ShotBatch(pattern.plan.register, rngs, draws))
+
+
+def qfhe_on(pattern: MeasurementPattern, keys, batch):
+    """The protocol sequence on a ShotBatch or a BranchBatch.
+
+    The server's default-angle measurements in flow order and its output
+    readouts, then the client's companions and corrections.  Returns
+    ``(s, alpha, b)``: per node, the bits of every row; ``s`` holds the
+    server's raw outcomes and raw output readouts, ``alpha`` the companion
     outcomes, ``b`` the corrected bits.
     """
     plan = pattern.plan
-    keys = input_keys(pattern, encode_input(input_bits))
     order, outputs = pattern.flow.order, pattern.graph.outputs
-    draws = len(order) + len(outputs) + len(pattern.quarter_nodes)
-    batch = ShotBatch(plan.register, rngs, draws)
 
     # Server phase: default angles throughout, outputs read computationally.
     s: dict = {}
@@ -299,80 +306,37 @@ def run_qfhe(
 # -- exact branch enumeration (the master oracle) ------------------------
 
 
-def _split(amps: np.ndarray, wires: list, wire, phi, bits) -> tuple:
-    """Split every row on `wire`: ``(rows, outcome of each row)``.
-
-    A row's halves, unnormalized, go to the |+_phi> (bit 0) rows, then the
-    |-_phi> (bit 1) rows; `wire` leaves `wires`.  Rows of probability at
-    most ZERO_BRANCH_P are dropped, and the per-row arrays in each dict of
-    ``bits`` are doubled and filtered with the rows.
-    """
-    q = wires.index(wire)
-    a0, a1, half = halves(amps, q, phi)
-    del wires[q]
-    amps = np.concatenate((a0, a1)).reshape(2 * len(amps), -1) * sqrt(half)
-    keep = (amps.real**2 + amps.imag**2).sum(axis=1) > ZERO_BRANCH_P
-    for per_row in bits:
-        for v, row_bits in per_row.items():
-            per_row[v] = np.tile(row_bits, 2)[keep]
-    return amps[keep], np.repeat((0, 1), len(keep) // 2)[keep]
-
-
 def _walk_branches(
     pattern: MeasurementPattern,
     input_bits,
     mode: str,
     direct_input_prep: bool = False,
 ) -> dict[str, float]:
-    """Exact law of the output strings, by walking every measurement branch.
+    """Exact law of the output strings: the protocol run on every branch.
 
-    ``interactive`` adapts angles and yields corrected outputs; ``qfhe``
-    measures at default angles, branches on each companion in the client's
-    basis and yields deferred-corrected outputs; ``raw`` walks the protocol
-    register at default angles without touching the companions and yields
-    the server's raw readouts.  The walk is breadth-first: each row of
-    ``amps`` is one unnormalized branch, so the rows together never hold
-    more than the register's 2^n amplitudes.
+    ``interactive_on`` or ``qfhe_on`` runs on a BranchBatch of the register.
+    ``interactive`` and ``qfhe`` read the corrected outputs; ``raw`` reads
+    the server's raw readouts, whatever the client does with companions.
+    The rows' probabilities are tallied by their broadcast readout codes.
     """
     plan = pattern.plan
     keys = input_keys(pattern, encode_input(input_bits))
     direct = None
     if direct_input_prep:
-        direct = dict(keys)
-        keys = {v: 0 for v in keys}
+        direct, keys = keys, dict.fromkeys(keys, 0)
     register = plan.graph_register if mode == "interactive" else plan.register
-    sv0 = _with_input_flips(register, plan.wire_of, direct)
-
-    amps, wires = sv0.amps[None, :], list(range(sv0.num_qubits))
-    b: dict = {}
-    alpha: dict = {}
-    for i in pattern.flow.order:
-        if mode == "interactive":
-            x, z = plan.byproducts(i, b, keys)
-            phi = _corrected_angle_k(pattern.angles[i], x, z) * pi / 4
-        else:
-            phi = pattern.angle_rad(i)
-        # qfhe: the companion first, in the basis the client would pick.
-        if mode == "qfhe" and plan.family[i] == "gadget":
-            y_basis = plan.byproducts(i, b, keys)[0]
-            companion = plan.wire_of[("companion", i)]
-            amps, alpha[i] = _split(
-                amps, wires, companion, Y_BASIS_ANGLE * y_basis, (b, alpha)
-            )
-        amps, outcome = _split(amps, wires, plan.wire_of[i], phi, (b, alpha))
-        if mode == "qfhe":
-            outcome = _corrected_bit(pattern, i, {i: outcome}, b, alpha, keys)
-        b[i] = outcome
+    batch = BranchBatch(_with_input_flips(register, plan.wire_of, direct))
+    if mode == "interactive":
+        bits = interactive_on(pattern, keys, batch)[1]
+    else:
+        s, _, b = qfhe_on(pattern, keys, batch)
+        bits = s if mode == "raw" else b
 
     outs = pattern.graph.outputs
     width = len(outs)
-    code = readout_code(len(wires), [wires.index(plan.wire_of[o]) for o in outs])
-    mask = np.zeros(len(amps), dtype=np.int64)
-    if mode != "raw":
-        for pos, o in enumerate(outs):
-            mask |= plan.corrected_output(o, 0, b) << (width - 1 - pos)
-    readout = (code ^ mask[:, None]).ravel()
-    probs = (amps.real**2 + amps.imag**2).ravel()
+    code = sum(bits[o] << (width - 1 - pos) for pos, o in enumerate(outs))
+    readout = np.broadcast_to(code, batch.shape).ravel()
+    probs = (batch.amps.real**2 + batch.amps.imag**2).sum(axis=1)
     law = np.bincount(readout, weights=probs, minlength=1 << width)
     dist = {format(k, f"0{width}b"): float(p) for k, p in enumerate(law) if p > 0}
     total = sum(dist.values())

@@ -11,8 +11,8 @@ Conventions shared by the whole package:
   ``|+_phi> = (|0> + e^{i phi}|1>)/sqrt(2)`` (outcome 0) and
   ``|-_phi> = (|0> - e^{i phi}|1>)/sqrt(2)`` (outcome 1).  ``StateVector``
   realises it as ``rz(-phi)``, ``h``, computational readout, frame restored
-  afterwards; ``ShotBatch`` and the exact branch walk project onto it
-  directly (``halves``).
+  afterwards; ``ShotBatch`` and ``BranchBatch`` project onto it directly
+  (``halves``).
 * The Y readout basis is the rotated basis at ``phi = 3*pi/2``, i.e.
   outcome 0 corresponds to ``(|0> - i|1>)/sqrt(2)``.  The X basis is
   ``phi = 0``.
@@ -267,6 +267,38 @@ class ShotBatch:
         self.amps = kept.reshape(len(bit), -1)
         del self.wires[q]
         return bit.astype(int)
+
+
+class BranchBatch:
+    """Every outcome branch of a prepared register, one row per branch.
+
+    ``ShotBatch``'s interface without draws: ``measure`` keeps both halves
+    of every row, unnormalized, the bit-0 rows first, so the rows hold the
+    register's 2^n amplitudes and a row's squared norm is its branch's
+    probability.  The rows form the grid ``shape``, the latest outcome on
+    the leading axis, so the returned bits broadcast over the rows.
+    """
+
+    __slots__ = ("wires", "amps", "shape")
+
+    def __init__(self, state: StateVector):
+        self.wires = list(range(state.num_qubits))
+        self.amps = state.amps[None, :]
+        self.shape = ()
+
+    def measure(self, wire: int, phi=None) -> np.ndarray:
+        """Split every row on `wire` and drop it; returns the bits per row.
+
+        ``phi`` is None (computational) or an angle that broadcasts to
+        ``shape``, as for ``ShotBatch``.
+        """
+        q = self.wires.index(wire)
+        phi = None if phi is None else np.broadcast_to(phi, self.shape).ravel()
+        a0, a1, half = halves(self.amps, q, phi)
+        self.amps = np.concatenate((a0, a1)).reshape(2 * len(a0), -1) * sqrt(half)
+        del self.wires[q]
+        self.shape = (2,) + self.shape
+        return np.arange(2).reshape((2,) + (1,) * (len(self.shape) - 1))
 
 
 def apply_rows(

@@ -28,7 +28,7 @@ from qfhesim.protocol import (
     enumerate_branches,
     server_output_marginals_exact,
 )
-from qfhesim.statevec import Y_BASIS_ANGLE
+from qfhesim.statevec import Y_BASIS_ANGLE, BranchBatch
 
 TOL = 1e-12
 
@@ -158,14 +158,15 @@ def j0_chain():
 )
 def test_walk_never_holds_more_than_the_register(monkeypatch, pattern, bits, mode):
     sizes = []  # (rows, columns) before and after every split
-    real = protocol._split
+    real = BranchBatch.measure
 
-    def spy(amps, wires, wire, phi, per_row):
-        rows, outcome = real(amps, wires, wire, phi, per_row)
-        sizes.extend((amps.shape, rows.shape))
-        return rows, outcome
+    def spy(self, wire, phi=None):
+        before = self.amps.shape
+        bit = real(self, wire, phi)
+        sizes.extend((before, self.amps.shape))
+        return bit
 
-    monkeypatch.setattr(protocol, "_split", spy)
+    monkeypatch.setattr(BranchBatch, "measure", spy)
     protocol._walk_branches(pattern, bits, mode)
     n = len(pattern.graph.nodes) if mode == "interactive" else len(pattern.plan.wire_of)
     assert sizes and all(rows * cols <= 1 << n for rows, cols in sizes)

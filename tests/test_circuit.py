@@ -1,6 +1,7 @@
 """Rewrite exactness, equivalence checking, file formats, parity masks."""
 
 import re
+from collections import Counter
 from math import pi
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fuzzing import READER_FUZZ, apply_line_edits, line_edits
 from hypothesis import given, settings, strategies as st
 
+from qfhesim import statevec
 from qfhesim.circuit import (
     Circuit,
     CircuitFormatError,
@@ -15,6 +17,7 @@ from qfhesim.circuit import (
     circuit,
     decompose_controlled_sdg,
     decompose_swap_onedir,
+    exact_readout_distribution,
     gate,
     load_circuit,
     measure,
@@ -22,6 +25,7 @@ from qfhesim.circuit import (
     reverse_cnot,
     rewrite_cz_to_cnot,
     rz_as_named_gates,
+    sample_counts,
     save_circuit,
     unitary_of,
     verify_equivalence,
@@ -280,6 +284,43 @@ def test_parity_postprocess_matches_per_shot_oracle(counts, masks):
 
 
 # -- files -------------------------------------------------------------------
+
+
+def one_draw_counts(circ, shots, rng):
+    """Readout strings of one ``choice`` of all the shots, tallied one by one."""
+    dist = exact_readout_distribution(circ)
+    keys = sorted(dist)
+    p = np.array([dist[k] for k in keys])
+    draws = rng.choice(len(keys), size=shots, p=p / p.sum())
+    return Counter(keys[int(d)] for d in draws)
+
+
+class ChoiceSizes:
+    """Generator stand-in that records the size of every ``choice``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def choice(self, *args, size, p):
+        self.sizes.append(size)
+        return self.rng.choice(*args, size=size, p=p)
+
+
+@pytest.mark.parametrize("shots", [0, 1, 7, 8, 9, 40, 41])
+def test_sample_counts_draw_in_chunks_within_the_budget(monkeypatch, shots):
+    # A 64-byte budget holds eight 8-byte draws.  Whatever the chunks, the
+    # counts and the generator's next draw equal one choice of every shot.
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", 64)
+    circ = compile_qfhe_to_circuit(reference_pattern(), [1, 0, 1]).circuit
+    spy = ChoiceSizes(np.random.default_rng([76, shots]))
+    got = sample_counts(circ, shots, spy)
+    want_rng = np.random.default_rng([76, shots])
+    want = one_draw_counts(circ, shots, want_rng)
+    assert len(set(want)) > 1 or shots < 2
+    assert got == want
+    assert spy.rng.random() == want_rng.random()
+    assert sum(spy.sizes) == shots and all(0 < size <= 8 for size in spy.sizes)
 
 
 def test_circuit_file_round_trip(tmp_path):

@@ -80,6 +80,7 @@ def test_shipped_ladder_file_matches_builder(tmp_path):
         (b"2 3\n", ":1: too many values to unpack"),
         (b"# no data\n", ": missing node count"),
         (b"2\nedge 0 2\n", ": edge (0, 2) references unknown node"),
+        (b"2\nedge 0 1\nedge 1 0\nedge 0 1\n", ":4: edge 0 1 given twice"),
     ],
 )
 def test_coupling_errors_name_path_and_line(tmp_path, data, where):

@@ -27,7 +27,7 @@ from qfhesim.protocol import (
     server_output_marginals_exact,
     total_variation,
 )
-from qfhesim.statevec import GATES_1Q, StateVector, gate_matrix
+from qfhesim.statevec import GATES_1Q, BranchBatch, StateVector, gate_matrix
 
 
 def equal_up_to_phase(a, b, tol=1e-12):
@@ -319,20 +319,26 @@ def test_server_marginals_exactly_half_on_reference():
             assert abs(p - 0.5) < 1e-9, (value, o, p)
 
 
-def test_server_marginals_leave_companions_unmeasured(monkeypatch):
-    # The server's readouts come before the client touches a companion, so
-    # the raw-readout walk branches on graph nodes only.
+def test_server_marginals_measure_server_wires_before_companions(monkeypatch):
+    # The server's readouts come before the client touches a companion: the
+    # raw-readout walk reads them off the qfhe run, which measures every
+    # graph node before any companion.
     ref = reference_pattern()
-    projected = set()
-    real = protocol._split
+    measured = []
+    real = BranchBatch.measure
 
-    def spy(amps, wires, wire, phi, bits):
-        projected.add(wire)
-        return real(amps, wires, wire, phi, bits)
+    def spy(self, wire, phi=None):
+        measured.append(wire)
+        return real(self, wire, phi)
 
-    monkeypatch.setattr(protocol, "_split", spy)
+    monkeypatch.setattr(BranchBatch, "measure", spy)
     server_output_marginals_exact(ref, [0, 0, 0])
-    assert projected == {ref.plan.wire_of[v] for v in ref.flow.order}
+    plan = ref.plan
+    server = {plan.wire_of[v] for v in ref.graph.nodes}
+    companions = {plan.wire_of[("companion", v)] for v in ref.quarter_nodes}
+    assert companions and set(measured[: len(server)]) == server
+    assert set(measured[len(server) :]) == companions
+    assert len(measured) == len(server) + len(companions)
 
 
 def test_reference_distribution_is_parity_product():

@@ -10,6 +10,7 @@ from math import pi, sqrt
 from qfhesim.statevec import (
     GATES_1Q,
     GATES_2Q,
+    BranchBatch,
     ShotBatch,
     StateVector,
     Y_BASIS_ANGLE,
@@ -349,6 +350,43 @@ def test_shot_batch_matches_scalar_measurements():
             else:
                 out = sv.measure_rotated(wire, phis[step][r], draw)
             assert out.bit == bits[step][r]
+
+
+def test_branch_rows_are_the_halves_shot_batch_keeps():
+    # A one-row ShotBatch whose uniforms force each bit (0 reads 1, just
+    # below 1 reads 0) must keep, step by step, the BranchBatch row of the
+    # same bits, normalized.  The latest bit leads, so the row of bits
+    # b0..bk is b0 + 2 b1 + ... + 2^k bk, and bit k broadcasts to it.
+    rng = np.random.default_rng(16)
+    n = 5
+    for _ in range(6):
+        amps = rand_state(rng, n)
+        order = [int(w) for w in rng.permutation(n)]
+        computational = rng.choice(n, 2, replace=False)
+        phis = [
+            None if k in computational else rng.uniform(0, 2 * pi, size=(2,) * k)
+            for k in range(n)
+        ]
+        branch = BranchBatch(StateVector(n, amps))
+        steps = []
+        for k, wire in enumerate(order):
+            bit = branch.measure(wire, phis[k])
+            assert bit.shape == (2,) + (1,) * k and branch.shape == (2,) * (k + 1)
+            assert branch.amps.shape == (2 << k, 1 << (n - 1 - k))
+            steps.append((bit, branch.amps.copy()))
+        assert np.sum(np.abs(branch.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+        for r in range(1 << n):
+            bits = [(r >> k) & 1 for k in range(n)]
+            uniforms = [0.0 if b else 1 - 2**-53 for b in bits]
+            shot = ShotBatch(StateVector(n, amps), [FixedDraws(uniforms)], n)
+            for k, (wire, (bit, rows)) in enumerate(zip(order, steps)):
+                phi = phis[k]
+                if phi is not None:
+                    phi = [phi[tuple(bits[:k][::-1])]]
+                assert shot.measure(wire, phi).tolist() == [bits[k]]
+                assert np.broadcast_to(bit, (2,) * n).ravel()[r] == bits[k]
+                row = rows[r % (2 << k)]
+                assert np.allclose(row / np.linalg.norm(row), shot.amps[0], atol=1e-12)
 
 
 def test_shot_batch_keeps_the_projected_rest():

@@ -181,15 +181,17 @@ def test_random_compiled_pattern_shots_equal_the_scalar_loop():
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_shots_equal_the_scalar_loop_when_the_budget_is_short(monkeypatch, budget):
-    # Heavy noise gives deep, branching signature trees; a budget of one to
-    # three registers leaves room for one row and its re-indexed copy, so
-    # each core runs in a chunk of its own.
+    # Heavy noise gives deep, branching signature trees; the walk takes its
+    # cores in chunks of one to three, each chunk's rows and their
+    # re-indexed copy within the budget.
     wires = 5
-    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", budget * 16 << wires)
-    assert rows_per_chunk(wires) == budget
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", budget * 16 << (wires + 1))
+    assert rows_per_chunk(wires + 1) == budget
+    calls = noise_apply_rows_calls(monkeypatch)
     gen = np.random.default_rng(74)
     circ = measured(random_circuit(gen, wires, 30))
     assert_same_shots(circ, NoiseModel(0.05, 0.1, 0.02, 0.05), 120, 74)
+    assert max(rows for _, rows, _ in calls) == budget
 
 
 def trajectory_amps(num_wires, steps, events):
