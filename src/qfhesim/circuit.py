@@ -169,12 +169,13 @@ def readout_code(num_qubits: int, wires) -> np.ndarray:
     return code
 
 
-def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
-    """Exact noiseless distribution over readout strings.
+def _readout_law(circ: Circuit) -> tuple[np.ndarray, int]:
+    """Exact noiseless law over readout codes (see ``readout_code``), and its width.
 
     Valid for terminal-measurement circuits: one simulation of the wires
     some instruction touches, probabilities aggregated over the measured
-    wires (first measurement = leftmost character).
+    wires.  Entry ``i`` is the probability of the readout string ``i`` in
+    ``width`` binary digits.
     """
     circ.require_terminal_measurements()
     if not circ.measurements:
@@ -185,9 +186,18 @@ def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
     probs = np.abs(sv.amps) ** 2
     width = len(meas)
     code = readout_code(circ.num_wires, [ins.wires[0] for ins in meas])
-    agg = np.bincount(code, weights=probs, minlength=1 << width)
+    return np.bincount(code, weights=probs, minlength=1 << width), width
+
+
+def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
+    """Exact noiseless distribution over readout strings.
+
+    First measurement = leftmost character; strings of probability 0 are
+    left out.
+    """
+    law, width = _readout_law(circ)
     return {
-        format(i, f"0{width}b"): float(p) for i, p in enumerate(agg) if p > 0.0
+        format(i, f"0{width}b"): float(p) for i, p in enumerate(law) if p > 0.0
     }
 
 
@@ -195,18 +205,22 @@ def sample_counts(
     circ: Circuit, shots: int, rng: np.random.Generator
 ) -> Counter:
     """Sample terminal readout strings (noiseless)."""
-    dist = exact_readout_distribution(circ)
-    keys = sorted(dist)
-    p = np.array([dist[k] for k in keys])
+    law, width = _readout_law(circ)
+    # The nonzero codes in index order are the readout strings in sorted order.
+    codes = np.flatnonzero(law > 0.0)
+    p = law[codes]
     p = p / p.sum()
     # Draws of 8 bytes each, in chunks within the byte budget, leave the
     # stream where one draw of `shots` would.
-    tally = np.zeros(len(keys), dtype=np.int64)
+    tally = np.zeros(len(codes), dtype=np.int64)
     step = statevec.SHOT_CHUNK_BYTES // 8
     for lo in range(0, shots, step):
-        draws = rng.choice(len(keys), size=min(step, shots - lo), p=p)
-        tally += np.bincount(draws, minlength=len(keys))
-    return Counter({k: int(c) for k, c in zip(keys, tally) if c})
+        draws = rng.choice(len(codes), size=min(step, shots - lo), p=p)
+        tally += np.bincount(draws, minlength=len(codes))
+    drawn = np.flatnonzero(tally)
+    return Counter(
+        {format(int(codes[k]), f"0{width}b"): int(tally[k]) for k in drawn}
+    )
 
 
 def _require_unitary(circ: Circuit) -> None:

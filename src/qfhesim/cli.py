@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import harness, noise as noise_mod
@@ -17,7 +18,9 @@ from .circuit import load_coupling, read_records
 from .pattern import load_pattern
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser every ``main`` call reuses; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qfhesim",
         description="Measurement-pattern and delegated-execution simulator",

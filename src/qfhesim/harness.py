@@ -23,17 +23,23 @@ from .pattern import (
     FlowMap,
     MeasurementPattern,
     OpenGraph,
+    interactive_draws,
     interactive_rows,
     random_pattern,
     validate_flow,
 )
 from .protocol import (
     enumerate_branches,
+    qfhe_draws,
     qfhe_rows,
     run_qfhe_detailed,
     total_variation,
 )
-from .statevec import SHOT_CHUNK_BYTES, rows_per_chunk  # the budget, re-exported
+from .statevec import (  # the budget and its rules, re-exported
+    SHOT_CHUNK_BYTES,
+    rows_per_chunk,
+    shots_per_chunk,
+)
 
 MODES = ("interactive", "qfhe", "qfhe-circuit", "qfhe-circuit-noisy")
 CIRCUIT_MODES = ("qfhe-circuit", "qfhe-circuit-noisy")
@@ -150,11 +156,18 @@ def _seed_for(seed: int, input_value: int, shot: int) -> np.random.Generator:
     return np.random.default_rng([seed, input_value, shot])
 
 
-def _shot_chunks(config: ExperimentConfig, value: int, rows: int):
-    """Each shot's own generator, in chunks of at most `rows` shots."""
-    for start in range(0, config.shots, rows):
-        stop = min(start + rows, config.shots)
-        yield [_seed_for(config.seed, value, shot) for shot in range(start, stop)]
+def _shot_chunks(config: ExperimentConfig, value: int, draws: int):
+    """Each shot's seeded uniforms, in chunks of ``shots_per_chunk(draws)``.
+
+    Row k of a chunk is ``_seed_for(seed, value, shot).random(draws)`` of
+    its shot, bit for bit, computed for the whole chunk at once.
+    """
+    from . import streams  # imported on first use: only sampled modes need it
+
+    step = shots_per_chunk(draws)
+    for start in range(0, config.shots, step):
+        stop = min(start + step, config.shots)
+        yield streams.uniforms(config.seed, value, start, stop, draws)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
@@ -181,14 +194,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
         raw_ones = [0] * len(outputs)
 
         if config.mode == "interactive":
-            rows = rows_per_chunk(len(pattern.graph.nodes))
-            for rngs in _shot_chunks(config, value, rows):
-                _, b, _ = interactive_rows(pattern, bits, rngs)
+            for uniforms in _shot_chunks(config, value, interactive_draws(pattern)):
+                _, b, _ = interactive_rows(pattern, bits, uniforms)
                 _tally_rows(ones, joint, [b[o] for o in outputs])
         elif config.mode == "qfhe":
-            rows = rows_per_chunk(len(pattern.plan.wire_of))
-            for rngs in _shot_chunks(config, value, rows):
-                s, _, b = qfhe_rows(pattern, bits, rngs)
+            for uniforms in _shot_chunks(config, value, qfhe_draws(pattern)):
+                s, _, b = qfhe_rows(pattern, bits, uniforms)
                 _tally_rows(ones, joint, [b[o] for o in outputs])
                 for k, o in enumerate(outputs):
                     raw_ones[k] += int(s[o].sum())

@@ -368,23 +368,27 @@ def _with_input_flips(
     return sv
 
 
+def interactive_draws(pattern: MeasurementPattern, measure_outputs: bool = True) -> int:
+    """Uniforms an interactive shot reads: one per measured node, then outputs."""
+    return len(pattern.graph.nodes) if measure_outputs else len(pattern.flow.order)
+
+
 def interactive_rows(
     pattern: MeasurementPattern,
     input_bits,
-    rngs,
+    uniforms,
     measure_outputs: bool = True,
 ):
-    """Interactive runs of one shot per generator, as rows of one ShotBatch.
+    """Interactive runs of one shot per row of `uniforms`, as one ShotBatch.
 
-    Each row draws one uniform per measured node, in flow order, then one
-    per output when ``measure_outputs`` is set.  Returns ``interactive_on``'s
-    ``(s, b)`` and the batch, which holds only the output wires once the
-    measured nodes are gone.
+    Row k holds shot k's ``interactive_draws`` uniforms: one per measured
+    node, in flow order, then one per output when ``measure_outputs`` is
+    set.  Returns ``interactive_on``'s ``(s, b)`` and the batch, which holds
+    only the output wires once the measured nodes are gone.
     """
     plan = pattern.plan
     keys = input_keys(pattern, input_bits)
-    draws = len(pattern.graph.nodes) if measure_outputs else len(pattern.flow.order)
-    batch = ShotBatch(plan.graph_register, rngs, draws)
+    batch = ShotBatch(plan.graph_register, uniforms)
     return (*interactive_on(pattern, keys, batch, measure_outputs), batch)
 
 
@@ -423,7 +427,9 @@ def run_interactive(
     ledger's ``s`` and ``b`` coincide.
     """
     plan = pattern.plan
-    s, b, batch = interactive_rows(pattern, input_bits, [rng], not keep_quantum_output)
+    measure_outputs = not keep_quantum_output
+    uniforms = rng.random((1, interactive_draws(pattern, measure_outputs)))
+    s, b, batch = interactive_rows(pattern, input_bits, uniforms, measure_outputs)
     ledger = OutcomeLedger(
         s={v: int(bits[0]) for v, bits in s.items()},
         b={v: int(bits[0]) for v, bits in b.items()},
@@ -435,7 +441,7 @@ def run_interactive(
     # qubit n-1-a.  Put output k on qubit k, then apply the byproducts.
     n = len(outputs)
     axis_of = {w: n - 1 - q for q, w in enumerate(batch.wires)}
-    amps = batch.amps[0].reshape((2,) * n)
+    amps = batch.amps[batch.row_of[0]].reshape((2,) * n)
     amps = amps.transpose([axis_of[plan.wire_of[o]] for o in reversed(outputs)])
     sv = StateVector(n, amps.reshape(-1))
     keys = input_keys(pattern, input_bits)

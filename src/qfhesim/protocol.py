@@ -190,16 +190,20 @@ def deferred_corrections(
     return _correct_all(pattern, s, alpha, keys, _drop_pred_term)
 
 
-def qfhe_rows(pattern: MeasurementPattern, input_bits, rngs):
-    """Protocol runs of one shot per generator, as rows of one ShotBatch.
+def qfhe_draws(pattern: MeasurementPattern) -> int:
+    """Uniforms a protocol shot reads: every wire of the register once."""
+    return len(pattern.plan.wire_of)
 
-    Each row draws one uniform per measured node in flow order, then one
-    per output, then one per companion in flow order.  Returns
-    ``qfhe_on``'s ``(s, alpha, b)``.
+
+def qfhe_rows(pattern: MeasurementPattern, input_bits, uniforms):
+    """Protocol runs of one shot per row of `uniforms`, as one ShotBatch.
+
+    Row k holds shot k's ``qfhe_draws`` uniforms: one per measured node in
+    flow order, then one per output, then one per companion in flow order.
+    Returns ``qfhe_on``'s ``(s, alpha, b)``.
     """
     keys = input_keys(pattern, encode_input(input_bits))
-    draws = len(pattern.plan.wire_of)  # every wire is read once
-    return qfhe_on(pattern, keys, ShotBatch(pattern.plan.register, rngs, draws))
+    return qfhe_on(pattern, keys, ShotBatch(pattern.plan.register, uniforms))
 
 
 def qfhe_on(pattern: MeasurementPattern, keys, batch):
@@ -251,7 +255,7 @@ def run_qfhe_detailed(
     keys = input_keys(pattern, bits)
     s, alpha, b = (
         {v: int(row[0]) for v, row in d.items()}
-        for d in qfhe_rows(pattern, input_bits, [rng])
+        for d in qfhe_rows(pattern, input_bits, rng.random((1, qfhe_draws(pattern))))
     )
     order, outputs = pattern.flow.order, pattern.graph.outputs
     basis_choices = {i: client_basis(plan.byproducts(i, b, keys)[0]) for i in alpha}

@@ -92,6 +92,17 @@ def rows_per_chunk(num_qubits: int) -> int:
     return max(1, SHOT_CHUNK_BYTES // (16 << num_qubits))
 
 
+def shots_per_chunk(draws: int) -> int:
+    """Sampled shots of `draws` measurements that ``SHOT_CHUNK_BYTES`` holds.
+
+    A ``ShotBatch`` shot holds its uniforms (8 B per draw) and its row index
+    (8 B), and the protocol keeps up to three bit arrays per measurement of
+    it (raw, companion and corrected bits, 8 B each); its amplitude rows do
+    not grow with the shots.
+    """
+    return max(1, SHOT_CHUNK_BYTES // (8 * (4 * draws + 1)))
+
+
 @dataclass
 class MeasurementOutcome:
     """Result of a single projective measurement."""
@@ -229,44 +240,70 @@ class StateVector:
 
 
 class ShotBatch:
-    """One prepared register per row, one shot per row; measured wires drop out.
+    """Sampled shots of one prepared register; measured wires drop out.
 
-    ``amps`` has one row per shot, or a single row while every shot still
-    holds the prepared register; ``wires`` names the wires of that register
-    still present, in qubit order.  Each row owns its generator and draws
-    all ``draws`` of its uniforms up front, which leaves the stream where
-    ``draws`` single ``random()`` calls would; ``measure`` reads them one
-    column per call, in call order.
+    ``amps`` holds one row per distinct outcome history the shots drew so
+    far (at most 2^k rows after k measurements, so rows x columns stays at
+    or below 2^n whatever the shot count), and ``row_of`` maps each shot to
+    its row.  ``wires`` names the wires still present, in qubit order.
+    ``uniforms`` holds each shot's draws, one row per shot; ``measure``
+    reads them one column per call, in call order.
     """
 
-    __slots__ = ("wires", "amps", "uniforms", "_column")
+    __slots__ = ("wires", "amps", "row_of", "uniforms", "_column")
 
-    def __init__(self, state: StateVector, rngs, draws: int):
+    def __init__(self, state: StateVector, uniforms):
         self.wires = list(range(state.num_qubits))
         self.amps = state.amps[None, :]
-        self.uniforms = np.array([rng.random(draws) for rng in rngs])
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.row_of = np.zeros(len(self.uniforms), dtype=np.intp)
         self._column = 0
 
     def measure(self, wire: int, phi=None) -> np.ndarray:
-        """Measure `wire` of every row and drop it; returns the bits per row.
+        """Measure `wire` of every shot and drop it; returns the bits per shot.
 
-        ``phi`` (a scalar or one angle per row) projects onto |+_phi>
+        ``phi`` (a scalar or one angle per shot) projects onto |+_phi>
         (bit 0) or |-_phi> (bit 1); None reads the computational basis.
-        Bits follow ``measure_z``: 1 when the row's uniform is below p1,
-        the other bit when that branch has p <= ZERO_BRANCH_P.  Each row
-        keeps its chosen half, renormalized.
+        Bits follow ``measure_z``: 1 when the shot's uniform is below its
+        row's p1, the other bit when that branch has p <= ZERO_BRANCH_P.
+        Each (row, bit) the shots drew becomes one row, renormalized.
         """
         q = self.wires.index(wire)
+        if np.ndim(phi):
+            phi = self._row_angles(np.asarray(phi, dtype=float))
         a0, a1, half = halves(self.amps, q, phi)
         p1 = half * (a1.real**2 + a1.imag**2).sum(axis=(1, 2))
-        bit = self.uniforms[:, self._column] < p1
+        shot_p1 = p1[self.row_of]
+        bit = self.uniforms[:, self._column] < shot_p1
         self._column += 1
-        bit ^= np.where(bit, p1, 1.0 - p1) <= ZERO_BRANCH_P
-        p = np.where(bit, p1, 1.0 - p1)
-        kept = np.where(bit[:, None, None], a1, a0) * np.sqrt(half / p)[:, None, None]
-        self.amps = kept.reshape(len(bit), -1)
+        bit ^= np.where(bit, shot_p1, 1.0 - shot_p1) <= ZERO_BRANCH_P
+        child = 2 * self.row_of + bit
+        present = np.zeros(2 * len(p1), dtype=bool)
+        present[child] = True
+        self.row_of = (np.cumsum(present) - 1)[child]
+        parent, kept_bit = np.divmod(np.flatnonzero(present), 2)
+        p = np.where(kept_bit, p1[parent], 1.0 - p1[parent])
+        kept = np.where(kept_bit[:, None, None], a1[parent], a0[parent])
+        self.amps = (kept * np.sqrt(half / p)[:, None, None]).reshape(len(p), -1)
         del self.wires[q]
         return bit.astype(int)
+
+    def _row_angles(self, phi: np.ndarray) -> np.ndarray:
+        """One angle per row from one per shot, splitting rows by angle first.
+
+        Shots that share a row share their history, so in the protocol they
+        share their angle; a row whose shots differ becomes one row per angle.
+        """
+        row_phi = np.empty(len(self.amps))
+        row_phi[self.row_of] = phi
+        if not np.array_equal(row_phi[self.row_of], phi):
+            pairs, inverse = np.unique(
+                np.column_stack((self.row_of, phi)), axis=0, return_inverse=True
+            )
+            self.row_of = inverse.reshape(-1)
+            self.amps = self.amps[pairs[:, 0].astype(np.intp)]
+            row_phi = pairs[:, 1]
+        return row_phi
 
 
 class BranchBatch:

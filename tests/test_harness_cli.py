@@ -266,6 +266,32 @@ def test_cli_run_and_compare(tmp_path):
     assert "min p-value" in proc.stdout
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # main builds its argument parser once per process.  Two calls with
+    # different argv must still print and write what fresh processes do,
+    # and a bad flag between them must still exit 2.
+    from qfhesim import cli
+
+    def masked(text, out):
+        return re.sub(r"wall time \S+", "wall time T", text.replace(str(out), "OUT"))
+
+    for mode, seed in (("interactive", "3"), ("qfhe", "4")):
+        argv = ["run", "--mode", mode, "--pattern", "reference", "--inputs", "1,6",
+                "--shots", "50", "--seed", seed]
+        here, fresh = tmp_path / f"here-{mode}", tmp_path / f"fresh-{mode}"
+        assert main([*argv, "--out", str(here)]) == 0
+        printed = capsys.readouterr().out
+        proc = run_cli(*argv, "--out", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert masked(printed, here) == masked(proc.stdout, fresh)
+        for name in ("report.json", "table.csv"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--bogus-flag"])
+        assert exc.value.code == 2
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_run_with_files(tmp_path):
     from qfhesim.pattern import save_pattern
 

@@ -4,6 +4,8 @@ The per-shot hashes (outcome records and ``qfhe`` transcripts) were
 recorded from the scalar shot loop (one ``StateVector`` of the full register
 per shot, rotated measurements through rz/H frames) before the batched
 kernel replaced it, so they pin every shot's outcomes, not only the tallies.
+``OneRowPerShot`` is the batched kernel as it was before shots shared their
+rows; ``ShotBatch`` must read every shot's bits exactly as it does.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from qfhesim import harness
+from qfhesim import harness, statevec, streams
 from qfhesim.harness import (
     SHOT_CHUNK_BYTES,
     ExperimentConfig,
@@ -20,14 +22,21 @@ from qfhesim.harness import (
     reference_pattern,
     rows_per_chunk,
     run_experiment,
+    shots_per_chunk,
 )
 from qfhesim.pattern import (
+    FlowMap,
     MeasurementPattern,
     OpenGraph,
+    flow_order_from_partial,
+    input_keys,
+    interactive_draws,
+    interactive_on,
     random_pattern,
     run_interactive,
 )
-from qfhesim.protocol import run_qfhe_detailed
+from qfhesim.protocol import encode_input, qfhe_draws, qfhe_on, run_qfhe_detailed
+from qfhesim.statevec import ZERO_BRANCH_P, ShotBatch, StateVector, halves
 
 
 def _items(d):
@@ -119,20 +128,23 @@ def _one_row_tallies(mode, pattern, value, shots, seed):
 def test_chunked_counts_equal_one_row_tallies(monkeypatch, mode, shots):
     ref = reference_pattern()
     kernel = "interactive_rows" if mode == "interactive" else "qfhe_rows"
+    draws = interactive_draws(ref) if mode == "interactive" else qfhe_draws(ref)
+    # A budget of 32 shots puts these shot counts on both sides of a chunk
+    # boundary; chunks must be shots_per_chunk(draws) shots, the last shorter.
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", 32 * 8 * (4 * draws + 1))
+    assert shots_per_chunk(draws) == 32
     chunks = []
     real = getattr(harness, kernel)
 
-    def spy(pattern, bits, rngs):
-        chunks.append(len(rngs))
-        return real(pattern, bits, rngs)
+    def spy(pattern, bits, uniforms):
+        chunks.append(uniforms.shape)
+        return real(pattern, bits, uniforms)
 
     monkeypatch.setattr(harness, kernel, spy)
     cfg = ExperimentConfig(mode=mode, pattern=ref, inputs=[3, 6], shots=shots, seed=11)
     table, stats = run_experiment(cfg)
-    width = len(ref.graph.nodes) if mode == "interactive" else len(ref.plan.wire_of)
-    rows = rows_per_chunk(width)
-    full, last = divmod(shots, rows)
-    assert chunks == 2 * ([rows] * full + ([last] if last else []))
+    full, last = divmod(shots, 32)
+    assert chunks == 2 * ([(32, draws)] * full + ([(last, draws)] if last else []))
     for value in (3, 6):
         ones, joint, raw = _one_row_tallies(mode, ref, value, shots, 11)
         assert table.ones[value] == ones
@@ -142,10 +154,130 @@ def test_chunked_counts_equal_one_row_tallies(monkeypatch, mode, shots):
             assert marginals[str(value)] == [r / shots for r in raw]
 
 
+@pytest.mark.parametrize("draws, shots", [(1, 26214), (9, 3542), (11, 2912), (20, 1618)])
+def test_shots_per_chunk_fit_the_byte_budget(draws, shots):
+    # Uniforms, row index and three bit arrays per draw: 8 * (4 * draws + 1)
+    # bytes a shot.  A reference-pattern report of 2,000 shots per input is
+    # one chunk, and a 20-draw pattern no longer runs one shot per chunk.
+    assert shots_per_chunk(draws) == shots
+    assert shots * 8 * (4 * draws + 1) <= SHOT_CHUNK_BYTES
+
+
 @pytest.mark.parametrize("n, rows", [(2, 16384), (11, 32), (16, 1), (20, 1)])
 def test_rows_per_chunk_fit_the_byte_budget(n, rows):
     assert rows_per_chunk(n) == rows
     assert rows * 16 << n <= SHOT_CHUNK_BYTES or rows == 1
+
+
+class OneRowPerShot:
+    """The shot kernel before shots shared rows: one register row per shot."""
+
+    def __init__(self, state: StateVector, uniforms):
+        self.wires = list(range(state.num_qubits))
+        self.amps = state.amps[None, :]
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self._column = 0
+
+    def measure(self, wire, phi=None):
+        q = self.wires.index(wire)
+        a0, a1, half = halves(self.amps, q, phi)
+        p1 = half * (a1.real**2 + a1.imag**2).sum(axis=(1, 2))
+        bit = self.uniforms[:, self._column] < p1
+        self._column += 1
+        bit ^= np.where(bit, p1, 1.0 - p1) <= ZERO_BRANCH_P
+        p = np.where(bit, p1, 1.0 - p1)
+        kept = np.where(bit[:, None, None], a1, a0) * np.sqrt(half / p)[:, None, None]
+        self.amps = kept.reshape(len(bit), -1)
+        del self.wires[q]
+        return bit.astype(int)
+
+
+def _shot_bits(kernel, mode, pattern, value, uniforms, step):
+    """Per-shot bits of every node, run on `kernel` in chunks of `step` shots."""
+    bits = input_bits_of(pattern, value)
+    parts = []
+    for lo in range(0, len(uniforms), step):
+        chunk = uniforms[lo : lo + step]
+        if mode == "interactive":
+            batch = kernel(pattern.plan.graph_register, chunk)
+            parts.append(interactive_on(pattern, input_keys(pattern, bits), batch))
+        else:
+            batch = kernel(pattern.plan.register, chunk)
+            keys = input_keys(pattern, encode_input(bits))
+            parts.append(qfhe_on(pattern, keys, batch))
+    return [
+        {node: np.concatenate([part[k][node] for part in parts]) for node in parts[0][k]}
+        for k in range(len(parts[0]))
+    ]
+
+
+def _assert_same_shot_bits(monkeypatch, mode, pattern, values, shots, seed, step, ref_step):
+    """ShotBatch in chunks of `step` reads OneRowPerShot's bits; rows x columns <= 2^n."""
+    sizes = []
+    real = ShotBatch.measure
+
+    def spy(self, wire, phi=None):
+        sizes.append(self.amps.shape)
+        bits = real(self, wire, phi)
+        sizes.append(self.amps.shape)
+        return bits
+
+    monkeypatch.setattr(ShotBatch, "measure", spy)
+    draws = interactive_draws(pattern) if mode == "interactive" else qfhe_draws(pattern)
+    for value in values:
+        uniforms = streams.uniforms(seed, value, 0, shots, draws)
+        got = _shot_bits(ShotBatch, mode, pattern, value, uniforms, step)
+        want = _shot_bits(OneRowPerShot, mode, pattern, value, uniforms, ref_step)
+        assert [d.keys() for d in got] == [d.keys() for d in want]
+        for g, w in zip(got, want):
+            for node in w:
+                assert np.array_equal(g[node], w[node]), (value, node)
+    # Every wire is read once, so the register has `draws` qubits.
+    assert sizes and all(rows * cols <= 1 << draws for rows, cols in sizes)
+
+
+@pytest.mark.parametrize("mode", ["interactive", "qfhe"])
+def test_shot_batch_reads_the_one_row_kernel_bits(monkeypatch, mode):
+    # The reference pattern, 8 inputs x 2,000 shots in one batch; the
+    # reference kernel runs in the chunks it used to run in.
+    ref = reference_pattern()
+    width = len(ref.graph.nodes) if mode == "interactive" else len(ref.plan.wire_of)
+    _assert_same_shot_bits(
+        monkeypatch, mode, ref, range(8), 2000, 0, 2000, rows_per_chunk(width)
+    )
+
+
+@pytest.mark.parametrize("mode", ["interactive", "qfhe"])
+def test_shot_batch_chunks_read_the_one_row_kernel_bits(monkeypatch, mode):
+    # 60 random patterns, every input: chunks of 7 against one batch.
+    for k in range(60):
+        pat = random_pattern(np.random.default_rng([23, k]), max_measured=6)
+        values = range(1 << len(pat.graph.inputs))
+        _assert_same_shot_bits(monkeypatch, mode, pat, values, 100, k, 7, 100)
+
+
+def _grid_pattern(rows: int, cols: int) -> MeasurementPattern:
+    """Row chains with rungs down the middle columns; pi/4 on two nodes."""
+    node = {(r, c): 1 + c * rows + r for c in range(cols) for r in range(rows)}
+    edges = [(node[r, c], node[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(node[r, c], node[r + 1, c]) for c in (1, 2) for r in range(rows - 1)]
+    f = {node[r, c]: node[r, c + 1] for r in range(rows) for c in range(cols - 1)}
+    graph = OpenGraph(
+        tuple(sorted(node.values())),
+        tuple(edges),
+        tuple(node[r, 0] for r in range(rows)),
+        tuple(node[r, cols - 1] for r in range(rows)),
+    )
+    ks = (0, 2, 1, 4, 6, 2)
+    angles = {v: ks[i % len(ks)] for i, v in enumerate(sorted(f))}
+    return MeasurementPattern(graph, FlowMap(f, flow_order_from_partial(graph, f)), angles)
+
+
+@pytest.mark.parametrize("mode", ["interactive", "qfhe"])
+def test_shot_batch_reads_the_one_row_kernel_bits_on_a_wide_grid(monkeypatch, mode):
+    grid = _grid_pattern(4, 4)
+    assert len(grid.graph.nodes) == 16 and len(grid.plan.wire_of) == 18
+    _assert_same_shot_bits(monkeypatch, mode, grid, [0, 11], 24, 5, 24, 1)
 
 
 def test_quantum_output_follows_the_output_order():

@@ -307,22 +307,12 @@ def test_measure_z_reports_the_branch_it_projects(p1, u):
     assert sv.probability_one(0) == pytest.approx(out.bit, abs=1e-12)
 
 
-class FixedDraws:
-    """Generator stand-in for ShotBatch: every uniform it draws is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        return np.full(size, self.u)
-
-
 @pytest.mark.parametrize("p1", [0.0, 1e-16, 1 - 1e-16])
 @pytest.mark.parametrize("u", [0.0, 1 - 2**-53])
 def test_shot_batch_reports_the_branch_measure_z_reports(p1, u):
     amps = [sqrt(1 - p1), sqrt(p1)]
     want = StateVector(1, amps).measure_z(0, FixedDraw(u)).bit
-    batch = ShotBatch(StateVector(1, amps), [FixedDraws(u)], 1)
+    batch = ShotBatch(StateVector(1, amps), [[u]])
     assert batch.measure(0).tolist() == [want]
     assert batch.wires == [] and batch.amps.shape == (1, 1)
     assert abs(batch.amps[0, 0]) == pytest.approx(1.0)
@@ -337,8 +327,8 @@ def test_shot_batch_matches_scalar_measurements():
     amps /= np.linalg.norm(amps)
     order = [3, 0, 4, 1, 2]
     phis = rng.uniform(0, 2 * pi, size=(n, rows))
-    rngs = [np.random.default_rng([7, r]) for r in range(rows)]
-    batch = ShotBatch(StateVector(n, amps), rngs, n)
+    uniforms = [np.random.default_rng([7, r]).random(n) for r in range(rows)]
+    batch = ShotBatch(StateVector(n, amps), uniforms)
     bits = []
     for step, wire in enumerate(order):
         bits.append(batch.measure(wire, None if step == 2 else phis[step]))
@@ -378,7 +368,7 @@ def test_branch_rows_are_the_halves_shot_batch_keeps():
         for r in range(1 << n):
             bits = [(r >> k) & 1 for k in range(n)]
             uniforms = [0.0 if b else 1 - 2**-53 for b in bits]
-            shot = ShotBatch(StateVector(n, amps), [FixedDraws(uniforms)], n)
+            shot = ShotBatch(StateVector(n, amps), [uniforms])
             for k, (wire, (bit, rows)) in enumerate(zip(order, steps)):
                 phi = phis[k]
                 if phi is not None:
@@ -393,10 +383,12 @@ def test_shot_batch_keeps_the_projected_rest():
     rng = np.random.default_rng(15)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    rngs = [np.random.default_rng(r) for r in range(4)]
-    batch = ShotBatch(StateVector(3, amps), rngs, 1)
+    uniforms = [np.random.default_rng(r).random(1) for r in range(4)]
+    batch = ShotBatch(StateVector(3, amps), uniforms)
     bits = batch.measure(1, pi / 4)
     assert batch.wires == [0, 2]
+    # One row per bit the shots drew, each shot's read through row_of.
+    assert len(batch.amps) == len(set(bits.tolist()))
     for r, bit in enumerate(bits):
         sv = StateVector(3, amps)
         p = sv.project_rotated(1, pi / 4, int(bit))
@@ -405,7 +397,7 @@ def test_shot_batch_keeps_the_projected_rest():
         sign = -1 if bit else 1
         rest = (view[:, 0, :] + sign * np.exp(-1j * pi / 4) * view[:, 1, :]) / sqrt(2)
         assert p > 0
-        assert np.allclose(batch.amps[r], rest.reshape(-1), atol=1e-12)
+        assert np.allclose(batch.amps[batch.row_of[r]], rest.reshape(-1), atol=1e-12)
 
 
 def test_measure_z_reduces_over_the_register_once(monkeypatch):

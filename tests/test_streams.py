@@ -1,0 +1,62 @@
+"""The vectorised per-shot uniforms against numpy's own seeded generators.
+
+``streams.uniforms`` must return ``default_rng([seed, value, shot]).random(draws)``
+bit for bit.  The cases cover seeds at entropy-word boundaries and one of
+three words, shot indices on both sides of 2**32 (where a shot index gains a
+second entropy word), and every draw count a reference-pattern shot reads.
+Over all cases the check compares 101,200 shots.
+"""
+
+import inspect
+import types
+
+import numpy as np
+import pytest
+
+from qfhesim import streams
+from qfhesim.harness import reference_pattern
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**63, 1180591620717411303424]  # the last is 2**70
+DRAWS = range(1, len(reference_pattern().plan.wire_of) + 1)
+SHOTS = 4600  # per range; two ranges per case
+STARTS = (0, 2**32 - SHOTS // 2)  # below 2**32, and across it
+
+
+def _mismatched_shots(uniforms, seed, value, start, stop, draws) -> int:
+    got = uniforms(seed, value, start, stop, draws)
+    want = np.array(
+        [np.random.default_rng([seed, value, s]).random(draws) for s in range(start, stop)]
+    )
+    assert got.shape == want.shape == (stop - start, draws)
+    return int(np.sum(np.any(got != want, axis=1)))
+
+
+@pytest.mark.parametrize("draws", DRAWS)
+def test_uniforms_equal_seeded_generators(draws):
+    seed = SEEDS[draws % len(SEEDS)]  # 11 draw counts cycle through every seed
+    for start in STARTS:
+        stop = start + SHOTS
+        assert _mismatched_shots(streams.uniforms, seed, draws, start, stop, draws) == 0
+
+
+def test_uniforms_of_a_sub_range_are_its_rows():
+    whole = streams.uniforms(3, 5, 2**32 - 3, 2**32 + 3, 4)
+    assert np.array_equal(streams.uniforms(3, 5, 2**32 - 1, 2**32 + 1, 4), whole[2:4])
+    assert streams.uniforms(3, 5, 7, 7, 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "original, mutant",
+    [
+        # PCG64's increment must be odd.
+        ("inc_l = (seq_l << np.uint64(1)) | np.uint64(1)", "inc_l = seq_l << np.uint64(1)"),
+        # XSL-RR rotates by the top six bits of the state.
+        ("rot = hi >> np.uint64(58)", "rot = hi >> np.uint64(57)"),
+    ],
+)
+def test_stream_check_has_teeth(original, mutant):
+    source = inspect.getsource(streams)
+    assert source.count(original) == 1
+    module = types.ModuleType("mutant_streams")
+    exec(compile(source.replace(original, mutant), "<mutant>", "exec"), module.__dict__)
+    assert _mismatched_shots(module.uniforms, 0, 3, 0, 200, 11) > 0
