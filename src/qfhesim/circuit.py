@@ -204,7 +204,9 @@ def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
 def sample_counts(
     circ: Circuit, shots: int, rng: np.random.Generator
 ) -> Counter:
-    """Sample terminal readout strings (noiseless)."""
+    """Sample terminal readout strings (noiseless); ``shots`` below 1 raises."""
+    if shots < 1:
+        raise ValueError(f"shots = {shots} is not a positive integer")
     law, width = _readout_law(circ)
     # The nonzero codes in index order are the readout strings in sorted order.
     codes = np.flatnonzero(law > 0.0)

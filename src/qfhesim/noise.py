@@ -7,14 +7,15 @@ probability ``p_idle``; readout bits flip with probability ``p_ro``.  The
 all-zero model is exactly the noiseless channel.
 
 A Pauli event does not depend on the state, so each shot draws its events
-first.  An event that only Clifford gates carry to the readout reaches it as
-a Pauli (a Pauli frame): its Z part leaves a computational readout alone and
-its X part XORs a fixed mask into the readout index.  So each shot's events
-split into a *core*, the events a ``t``, ``tdg`` or ``rz`` gate blocks by
-meeting an X part, which are simulated, and the XOR of the other events'
-masks.  Shots with the same core share one simulation, and the cores run
-as the rows of one array, each gate once per distinct set of events before
-it.
+first, read off its generator's raw outputs.  A Pauli frame carries them
+forward: every Clifford gate moves a Pauli to a Pauli exactly, and at a
+``t``, ``tdg`` or ``rz`` gate on wire a the frame's X on a is applied to
+the state just before the gate while the rest rides on (its Z on a meets a
+diagonal gate).  At the readout the frame's Z part does nothing and its X
+part XORs a mask into the readout index.  So a shot's noise is a *core*,
+the set of blocking gates where an X lands, and a mask.  Shots with the
+same core share one simulation, and the cores run as the rows of one array
+that splits only at the gates they flag.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .circuit import Circuit, compact_wires, read_records
 from .statevec import StateVector, apply_rows, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
+_BLOCKING = ("t", "tdg", "rz")
 
 DEFAULT_P1 = 1e-3
 DEFAULT_P2 = 1e-2
@@ -181,21 +183,62 @@ def _program(circ: Circuit, model: NoiseModel):
     return steps, sites
 
 
-def _signature(sites, rng: np.random.Generator) -> tuple:
-    """One shot's error events ``((step, code), ...)``, drawn without simulating.
+def _draws(sites, bitgens, leaf_draws: int):
+    """Each shot's events ``((step, code), ...)`` and its ``leaf_draws``
+    uniforms, read off its bit generator's raw outputs.
 
-    A Pauli event does not depend on the state, so these are the scalar
-    loop's draws, made in its order, and they leave ``rng`` where it would.
+    They are bit for bit the scalar loop's draws on ``Generator(bitgen)``:
+    per site one ``random()``, and at a depolarizing event one
+    ``integers(3)`` (one wire, codes 1..3) or ``integers(15)`` (two wires,
+    codes 1..15); then ``random(leaf_draws)``.  numpy makes them so:
+
+    - ``random()`` is ``(raw >> 11) * 2**-53``, one output each;
+    - ``integers(k)`` is a buffered Lemire draw on a 32-bit half h: a fresh
+      output gives its low half and keeps its high half for the next
+      integer draw (``random()`` leaves it kept).  The value is
+      ``(h * k) >> 32``, and h is redrawn while ``h * k mod 2**32`` is below
+      ``(2**32 - k) % k``, which is 1 for k = 3 and 15; k being odd, that
+      is h = 0 alone.
+
+    These are numpy internals (``next_double``, PCG64's ``next_uint32`` and
+    the bounded-integer fill) that NEP 19 does not promise to keep;
+    ``tests/test_trajectory_walk.py`` compares this pass with the
+    generator's own draws, on crafted states with a zero half too.  Each
+    shot converts its raw array once and loops over the sites in Python; an
+    array that integer draws run short is extended from the same generator.
     """
-    events = []
-    for step, wires, p, fixed in sites:
-        if fixed:  # dephasing: its Z fires with probability p
-            code = fixed if rng.random() < p else 0
-        else:
-            code = _pauli_code(len(wires), p, rng)
-        if code:
+    plan = [
+        (step, p, fixed, 3 if len(wires) == 1 else 15) for step, wires, p, fixed in sites
+    ]
+    need = len(sites) + leaf_draws
+    signatures, uniforms = [], []
+    for bitgen in bitgens:
+        raw = bitgen.random_raw(need + 16)  # spare outputs for a few integer draws
+        u = ((raw >> 11) * 2.0**-53).tolist()
+        events, i, fresh, kept = [], 0, 0, None
+        for step, p, fixed, k in plan:
+            i += 1
+            if u[i - 1] >= p:
+                continue
+            code = fixed
+            while not code:
+                if kept is None:
+                    if need + fresh >= len(raw):
+                        more = bitgen.random_raw(need)
+                        raw = np.concatenate((raw, more))
+                        u += ((more >> 11) * 2.0**-53).tolist()
+                    r = int(raw[i])
+                    half, kept = r & 0xFFFFFFFF, r >> 32
+                    i += 1
+                    fresh += 1
+                else:
+                    half, kept = kept, None
+                if half:
+                    code = 1 + (half * k >> 32)
             events.append((step, code))
-    return tuple(events)
+        signatures.append(tuple(events))
+        uniforms.append(u[i : i + leaf_draws])
+    return signatures, np.array(uniforms)
 
 
 def _pauli_frames(num_wires: int, steps) -> dict:
@@ -204,13 +247,16 @@ def _pauli_frames(num_wires: int, steps) -> dict:
     Maps each site's step to one ``(x, z)`` pair per wire of the site: the
     entries of X and Z on that wire.  An entry is an int: its low
     ``num_wires`` bits are the X part the Pauli has at the end of the
-    circuit, and each higher bit is one ``t``/``tdg``/``rz`` gate the
-    propagated Pauli reaches with an X part on its wire.  Conjugation by a
-    Clifford gate is linear over GF(2), so a product of Paulis has the XOR
-    of their entries; past a blocking gate the sweep carries X on as X,
-    which keeps that linearity and leaves the earliest blocking gate exact.
-    ``rz`` blocks at every angle: ``rz(pi/2)`` takes its phase from
-    ``exp(1j*pi/2)``, which is not exactly ``1j``.
+    circuit, and each higher bit is one ``t``/``tdg``/``rz`` gate where the
+    Pauli puts an X on the gate's wire, applied just before that gate; the
+    last blocking gate has the lowest of those bits.  Split the frame at a
+    blocking gate g on wire a into X on a and the rest: the rest commutes
+    with g up to sign (its Z on a meets a diagonal gate) and rides on, so X
+    on a just before g has the entry of g's bit alone.  Conjugation by a
+    Clifford gate and that split are linear over GF(2), so a product of
+    Paulis has the XOR of their entries.  ``rz`` blocks at every angle:
+    ``rz(pi/2)`` takes its phase from ``exp(1j*pi/2)``, which is not exactly
+    ``1j``.
     """
     x = [1 << w for w in range(num_wires)]
     z = [0] * num_wires
@@ -226,8 +272,8 @@ def _pauli_frames(num_wires: int, steps) -> dict:
             x[a], z[a] = z[a], x[a]
         elif name in ("s", "sdg"):  # X -> XZ
             x[a] ^= z[a]
-        elif name in ("t", "tdg", "rz"):
-            x[a] ^= block
+        elif name in _BLOCKING:
+            x[a] = block
             block <<= 1
         elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
             x[a] ^= x[b]
@@ -251,44 +297,57 @@ def _frame_entry(frame, code: int) -> int:
     return entry
 
 
-def _walk(num_wires: int, steps, signatures):
-    """Yield each distinct signature with a copy of the amplitudes at the
-    end of its trajectory (a view would keep its chunk's rows alive while
-    the next chunk runs).  ``_readouts`` passes the shots' cores: only the
-    events a ``t``, ``tdg`` or ``rz`` gate blocks.
+def _walk(num_wires: int, steps, cores):
+    """Yield each distinct core with a copy of the amplitudes at the end of
+    its trajectory (a view would keep its chunk's rows alive while the next
+    chunk runs).  A core is an int over the blocking gates, as the high bits
+    of a ``_pauli_frames`` entry: each bit set is an ``x`` on the gate's
+    wire just before it.  The site steps are skipped.
 
-    Breadth-first, over chunks of the signatures sorted with "no further
-    event" after every event, so those sharing events are neighbours: each
-    row of ``rows`` holds one distinct set of the chunk's events so far, so
-    each gate, one ``apply_rows`` call, runs once per such set.  Where an
-    event fires, the rows are re-indexed to one per (parent row, Pauli),
-    grouped by Pauli.  A chunk of ``rows_per_chunk(num_wires + 1)``
-    signatures keeps the rows and that copy within ``SHOT_CHUNK_BYTES``.
-    Every row goes through the scalar loop's elementwise operations.
+    Breadth-first, over chunks of the cores sorted high to low, so those
+    that flag the same early gates are neighbours and each chunk's first
+    flagged gate comes no earlier than the last chunk's.  Every chunk starts
+    from one shared trunk row, the unflagged trajectory advanced to that
+    gate.  Each row of ``rows`` holds one distinct set of the chunk's flags
+    so far, and each gate, one ``apply_rows`` call, runs once per such set;
+    at a flagged gate the rows are re-indexed to one per (parent row, flag),
+    the flagged ones last, and those take the ``x``.  A chunk of
+    ``rows_per_chunk(num_wires + 1)`` cores keeps the rows and that copy
+    within ``SHOT_CHUNK_BYTES``, beside the trunk row.  Every row goes
+    through the scalar loop's elementwise operations.
     """
-    end = ((len(steps), 0),)
-    signatures = sorted(signatures, key=lambda events: events + end)
+    gates = [(name, wires, param) for name, wires, param in steps if name is not None]
+    blocking = [g for g, (name, _, _) in enumerate(gates) if name in _BLOCKING]
+    bit_of = {g: 1 << k for k, g in enumerate(reversed(blocking))}
+    cores = sorted(cores, reverse=True)
     size = rows_per_chunk(num_wires + 1)
-    for lo in range(0, len(signatures), size):
-        chunk = signatures[lo : lo + size]
-        codes = [dict(events) for events in chunk]
-        fired = {step for events in chunk for step, _ in events}
-        rows = np.zeros((1, 1 << num_wires), dtype=complex)
-        rows[0, 0] = 1.0
+    trunk = np.zeros((1, 1 << num_wires), dtype=complex)
+    trunk[0, 0] = 1.0
+    done = 0
+    for lo in range(0, len(cores), size):
+        chunk = cores[lo : lo + size]
+        top = chunk[0].bit_length()
+        start = blocking[len(blocking) - top] if top else len(gates)
+        for name, wires, param in gates[done:start]:
+            apply_rows(trunk, name, wires, param)
+        done = start
+        rows = trunk.copy()
         row_of = np.zeros(len(chunk), dtype=np.int64)
-        for step, (name, wires, param) in enumerate(steps):
-            if name is not None:
-                apply_rows(rows, name, wires, param)
-            elif step in fired:
-                code = np.array([at.get(step, 0) for at in codes])
-                keys, row_of = np.unique(code * len(rows) + row_of, return_inverse=True)
-                pauli, parent = np.divmod(keys, len(rows))
-                rows = rows[parent]
-                for c in set(pauli.tolist()) - {0}:
-                    a, b = np.searchsorted(pauli, (c, c + 1))
-                    _apply_pauli(rows[a:b], wires, c)
-        for events, row in zip(chunk, row_of):
-            yield events, rows[row].copy()
+        flagged = 0
+        for core in chunk:
+            flagged |= core
+        for g in range(start, len(gates)):
+            name, wires, param = gates[g]
+            bit = bit_of.get(g, 0)
+            if bit & flagged:
+                flag = np.array([core & bit != 0 for core in chunk])
+                parents = len(rows)
+                keys, row_of = np.unique(flag * parents + row_of, return_inverse=True)
+                rows = rows[keys % parents]
+                apply_rows(rows[np.searchsorted(keys, parents) :], "x", wires)
+            apply_rows(rows, name, wires, param)
+        for core, row in zip(chunk, row_of):
+            yield core, rows[row].copy()
 
 
 def _readouts(
@@ -296,15 +355,18 @@ def _readouts(
 ) -> list[str]:
     """Each shot's readout string, in shot order (see ``noisy_execute``).
 
-    Each shot's events split into its core and its mask (``_pauli_frames``);
-    ``_walk`` simulates each distinct core once, and each leaf takes
-    ``|amps|**2`` once and reads it as ``p0[idx ^ mask]`` for each mask.
-    That array equals the scalar loop's ``|amps|**2`` bit for bit: every
-    Clifford kind in ``apply_rows`` acts through permutations, negations and
-    products with +-1 or +-i, which commute exactly with a Pauli, and Z
-    through ``t``/``tdg``/``rz`` is a negation.  So the sum, the cdf and
-    every readout string are the scalar loop's.
+    A shot's noise is the XOR of its events' ``_pauli_frames`` entries: its
+    core and its mask.  ``_walk`` simulates each distinct core once, and
+    each leaf takes ``|amps|**2`` once and reads it as ``p0[idx ^ mask]``
+    for each mask.  That array equals the scalar loop's ``|amps|**2`` bit
+    for bit: every Clifford kind in ``apply_rows`` acts through
+    permutations, negations and products with +-1 or +-i, which commute
+    exactly with a Pauli, and a Pauli without X on the wire of a ``t``,
+    ``tdg`` or ``rz`` commutes with it up to an exact negation.  So the
+    sum, the cdf and every readout string are the scalar loop's.
     """
+    if shots < 1:
+        raise ValueError(f"shots = {shots} is not a positive integer")
     circ.require_terminal_measurements()
     if not circ.measurements:
         raise ValueError("circuit has no measurements")
@@ -317,25 +379,17 @@ def _readouts(
     # uniform that picks the basis state, then one per readout flip.
     seeds = rng.integers(0, 2**63, size=shots)
     leaf_draws = 1 + (len(meas_wires) if model.p_ro > 0.0 else 0)
-    uniforms = np.empty((shots, leaf_draws))
-    signatures = []
-    for shot in range(shots):
-        shot_rng = np.random.default_rng(seeds[shot])
-        signatures.append(_signature(sites, shot_rng))
-        uniforms[shot] = shot_rng.random(leaf_draws)
+    signatures, uniforms = _draws(sites, map(np.random.PCG64, seeds), leaf_draws)
 
     # shots_of[core][mask]: the shots with that core and readout mask.
     frames = _pauli_frames(n, steps) if any(signatures) else {}
-    shots_of: dict[tuple, dict[int, list[int]]] = {}
+    shots_of: dict[int, dict[int, list[int]]] = {}
     for shot, events in enumerate(signatures):
-        core, mask = [], 0
+        entry = 0
         for step, code in events:
-            entry = _frame_entry(frames[step], code)
-            if entry >> n:
-                core.append((step, code))
-            else:
-                mask ^= entry
-        shots_of.setdefault(tuple(core), {}).setdefault(mask, []).append(shot)
+            entry ^= _frame_entry(frames[step], code)
+        core, mask = divmod(entry, 1 << n)
+        shots_of.setdefault(core, {}).setdefault(mask, []).append(shot)
 
     readouts = [""] * shots
     for core, amps in _walk(n, steps, shots_of):
@@ -360,9 +414,10 @@ def noisy_execute(
     """Sampled readout strings with per-shot Pauli insertion trajectories.
 
     Shots run on independent seed-derived streams, so the merged counts do
-    not depend on execution order.  A shot's events are drawn first; the
-    events only Clifford gates carry to the readout become an XOR mask on
-    its index, and each distinct set of the others is simulated once
-    (``_walk``).  Every shot's string equals that of simulating it alone.
+    not depend on execution order.  A shot's events are drawn first and
+    carried through a Pauli frame to an XOR mask on its readout index and a
+    set of blocking gates that take an ``x``; each distinct set is simulated
+    once (``_walk``).  Every shot's string equals that of simulating it
+    alone.  ``shots`` below 1 raises ``ValueError``.
     """
     return Counter(_readouts(circ, model, shots, rng))

@@ -307,7 +307,7 @@ class ChoiceSizes:
         return self.rng.choice(*args, size=size, p=p)
 
 
-@pytest.mark.parametrize("shots", [0, 1, 7, 8, 9, 40, 41])
+@pytest.mark.parametrize("shots", [1, 7, 8, 9, 40, 41])
 def test_sample_counts_draw_in_chunks_within_the_budget(monkeypatch, shots):
     # A 64-byte budget holds eight 8-byte draws.  Whatever the chunks, the
     # counts and the generator's next draw equal one choice of every shot.
@@ -317,10 +317,19 @@ def test_sample_counts_draw_in_chunks_within_the_budget(monkeypatch, shots):
     got = sample_counts(circ, shots, spy)
     want_rng = np.random.default_rng([76, shots])
     want = one_draw_counts(circ, shots, want_rng)
-    assert len(set(want)) > 1 or shots < 2
+    assert len(set(want)) > 1 or shots == 1
     assert got == want
     assert spy.rng.random() == want_rng.random()
     assert sum(spy.sizes) == shots and all(0 < size <= 8 for size in spy.sizes)
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_sample_counts_rejects_fewer_than_one_shot(shots):
+    circ = compile_qfhe_to_circuit(reference_pattern(), [1, 0, 1]).circuit
+    rng = np.random.default_rng(77)
+    with pytest.raises(ValueError, match=f"shots = {shots} is not a positive integer"):
+        sample_counts(circ, shots, rng)
+    assert rng.random() == np.random.default_rng(77).random()
 
 
 def test_circuit_file_round_trip(tmp_path):

@@ -185,6 +185,15 @@ def test_noisy_execute_requires_terminal_measurements():
         noisy_execute(c, NoiseModel(), 1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shots", [0, -1])
+def test_noisy_execute_rejects_fewer_than_one_shot(shots):
+    c = circuit(1, [gate("h", 0), measure(0, "a")])
+    rng = np.random.default_rng(57)
+    with pytest.raises(ValueError, match=f"shots = {shots} is not a positive integer"):
+        noisy_execute(c, NoiseModel(), shots, rng)
+    assert rng.random() == np.random.default_rng(57).random()
+
+
 def _joint(counts, shots):
     return {k: v / shots for k, v in counts.items()}
 

@@ -3,11 +3,13 @@ scalar trajectory loop.
 
 ``noise._pauli_frames`` gives, for X and Z on each wire of each noise site,
 the X-mask the propagated Pauli leaves on the readout and the blocking
-gates (``t``, ``tdg``, ``rz``) it reaches with an X part.  Each single-gate
-entry is checked against G P G^dagger built from ``statevec.gate_matrix``;
-every shot of ``noise._readouts``, which simulates only the blocked events
-and XORs the others' masks into the readout index, must read the scalar
-loop's string.
+gates (``t``, ``tdg``, ``rz``) where it puts an X on the gate's wire, just
+before the gate.  Each single-gate entry is checked against G P G^dagger
+built from ``statevec.gate_matrix``.  A shot's core, the blocking gates
+its entries' XOR flags, is simulated with an ``x`` before each flagged
+gate; that row, read at the readout index XOR the mask, must be the scalar
+trajectory's ``|amps|**2``, and every shot of ``noise._readouts`` must read
+the scalar loop's string.
 """
 
 import itertools
@@ -21,7 +23,13 @@ from qfhesim.circuit import circuit, gate, measure
 from qfhesim.noise import NoiseModel
 from qfhesim.statevec import GATE_ARITY, gate_matrix
 
-from test_trajectory_walk import measured, scalar_readouts
+from test_trajectory_walk import (
+    measured,
+    scalar_program,
+    scalar_readouts,
+    scalar_signature,
+    scalar_trajectory,
+)
 
 CLIFFORD_1Q = ("h", "x", "y", "z", "s", "sdg")
 BLOCKING = ("t", "tdg", "rz")
@@ -100,7 +108,9 @@ def test_table_matches_dense_conjugation_per_gate(n):
             for kind, entry, p in (("x", x, pauli(1 << w, 0, n)), ("z", z, pauli(0, 1 << w, n))):
                 hits_x = name in BLOCKING and kind == "x" and wires[0] == w
                 assert bool(entry >> n) == hits_x, (name, wires, param, kind, w)
-                if not hits_x:
+                if hits_x:  # the X lands at the gate alone
+                    assert entry == 1 << n
+                else:
                     assert_pauli_with_x_part(u @ p @ u.conj().T, entry, n)
 
 
@@ -130,18 +140,30 @@ def test_table_matches_dense_conjugation_through_circuits(n):
 
 def test_each_blocking_gate_has_its_own_bit():
     # t, tdg and rz at every angle, rz(pi/2) and rz(pi/4) among them: an X
-    # before all of them reaches each one, a Z reaches none.
+    # just before each one lands there alone, on a bit of its own, the last
+    # gate's the lowest; an X after them all reaches the readout, and a Z
+    # reaches no gate.
     ops = [("t", (0,), None), ("tdg", (0,), None)]
     ops += [("rz", (0,), theta) for theta in RZ_ANGLES]
-    (x, z), = entries_before(1, ops).values()
-    assert x == (1 << len(ops) + 1) - 1
-    assert z == 0
+    steps = [step for op in ops for step in ((None, (0,), None), op)]
+    frames = noise._pauli_frames(1, steps + [(None, (0,), None)])
+    entries = [frames[step][0] for step in range(0, len(steps) + 1, 2)]
+    assert [x for x, _ in entries] == [1 << len(ops) - k for k in range(len(ops) + 1)]
+    assert [z for _, z in entries] == [0] * (len(ops) + 1)
 
 
 def shot_signatures(sites, shots, seed):
     """Each shot's events, drawn from its stream as ``noise._readouts`` seeds it."""
     seeds = np.random.default_rng(seed).integers(0, 2**63, size=shots)
-    return [noise._signature(sites, np.random.default_rng(s)) for s in seeds]
+    return [scalar_signature(sites, np.random.default_rng(s)) for s in seeds]
+
+
+def shot_noise(frames, events, n):
+    """A shot's core and readout mask: the XOR of its events' entries, split."""
+    entry = 0
+    for step, code in events:
+        entry ^= noise._frame_entry(frames[step], code)
+    return entry >> n, entry & ((1 << n) - 1)
 
 
 def cores_walked(monkeypatch):
@@ -149,9 +171,9 @@ def cores_walked(monkeypatch):
     seen = []
     walk = noise._walk
 
-    def spy(num_wires, steps, signatures):
-        seen.append(set(signatures))
-        return walk(num_wires, steps, signatures)
+    def spy(num_wires, steps, cores):
+        seen.append(set(cores))
+        return walk(num_wires, steps, cores)
 
     monkeypatch.setattr(noise, "_walk", spy)
     return seen
@@ -177,12 +199,41 @@ def test_every_gate_kind_shots_equal_the_scalar_loop(monkeypatch, model):
         frames = noise._pauli_frames(wires, steps)
         cores = set()
         for events in shot_signatures(sites, 40, seed):
-            core = [e for e in events if noise._frame_entry(frames[e[0]], e[1]) >> wires]
-            blocked += len(core)
-            deferred += len(events) - len(core)
-            cores.add(tuple(core))
+            entries = [noise._frame_entry(frames[step], code) for step, code in events]
+            blocked += sum(1 for entry in entries if entry >> wires)
+            deferred += sum(1 for entry in entries if not entry >> wires)
+            cores.add(shot_noise(frames, events, wires)[0])
         assert seen[-1] == cores
     assert deferred and blocked
+
+
+@pytest.mark.parametrize("model", list(models()), ids=repr)
+def test_each_core_row_read_at_its_mask_is_the_scalar_trajectory(model):
+    # The core rule itself: an x just before each flagged blocking gate and
+    # the mask on the readout index give the scalar trajectory's |amps|**2
+    # bit for bit, whatever the Paulis, gates and angles between.
+    levels = (model.p1, model.p_ro, model.p_idle)
+    gen = np.random.default_rng([85, *(round(100 * p) for p in levels)])
+    flagged = masked = 0
+    for trial in range(12):
+        wires = int(gen.integers(1, 6))
+        circ = measured(random_frame_circuit(gen, wires, int(gen.integers(4, 30))))
+        steps, sites = noise._program(circ, model)
+        frames = noise._pauli_frames(wires, steps)
+        program = scalar_program(circ, model)
+        shots = []
+        for shot in range(20):
+            seed = [85, trial, shot]
+            events = scalar_signature(sites, np.random.default_rng(seed))
+            sv = scalar_trajectory(circ, program, model, np.random.default_rng(seed))
+            shots.append((*shot_noise(frames, events, wires), np.abs(sv.amps) ** 2))
+        rows = dict(noise._walk(wires, steps, {core for core, _, _ in shots}))
+        index = np.arange(1 << wires)
+        for core, mask, want in shots:
+            assert np.array_equal((np.abs(rows[core]) ** 2)[index ^ mask], want)
+            flagged += core != 0
+            masked += mask != 0
+    assert flagged and masked
 
 
 def test_clifford_only_circuit_defers_every_event(monkeypatch):
@@ -194,7 +245,7 @@ def test_clifford_only_circuit_defers_every_event(monkeypatch):
         seed = [83, trial]
         want = scalar_readouts(circ, model, 60, np.random.default_rng(seed))
         assert noise._readouts(circ, model, 60, np.random.default_rng(seed)) == want
-    assert seen == [{()}] * 5
+    assert seen == [{0}] * 5
 
 
 @pytest.mark.parametrize("p_idle", [0.5, 1.0])
@@ -217,11 +268,19 @@ def test_circuit_whose_events_all_block(monkeypatch, p_idle):
         ],
     )
     model = NoiseModel(0.0, 0.0, 0.0, p_idle)
-    _, sites = noise._program(circ, model)
+    steps, sites = noise._program(circ, model)
     assert [wires for _, wires, _, _ in sites] == [(1,), (2,), (1,), (2,), (2,)]
+    # Each Z lands as an X at its wire's rz alone: one bit per wire, no mask.
+    frames = noise._pauli_frames(3, steps)
+    lands = [frames[step][0][1] for step, _, _, _ in sites]
+    rz1, rz2 = lands[:2]
+    assert lands == [rz1, rz2, rz1, rz2, rz2]
+    assert rz1 != rz2 and all(entry.bit_count() == 1 and entry >> 3 for entry in lands)
     seen = cores_walked(monkeypatch)
     want = scalar_readouts(circ, model, 64, np.random.default_rng(84))
     assert noise._readouts(circ, model, 64, np.random.default_rng(84)) == want
-    assert seen == [set(shot_signatures(sites, 64, 84))]
+    signatures = shot_signatures(sites, 64, 84)
+    assert seen == [{shot_noise(frames, events, 3)[0] for events in signatures}]
     if p_idle == 1.0:
-        assert seen == [{tuple((step, 3) for step, _, _, _ in sites)}]
+        # Wire 1's two Zs cancel; wire 2's three leave one x at its rz.
+        assert seen == [{rz2 >> 3}]

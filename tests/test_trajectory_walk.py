@@ -3,17 +3,16 @@
 ``scalar_readouts`` is the loop ``noisy_execute`` ran before signatures:
 one ``StateVector`` per shot, each gate followed by its depolarizing draw,
 then one draw per idling wire, then the sample and the readout flips.  The
-signature pass must leave every shot's stream where that loop leaves it,
-and every shot's readout string must equal the loop's.
+signature pass, which reads each shot's raw generator outputs, must draw
+every shot's events and uniforms as that loop does, and every shot's
+readout string must equal the loop's.
 """
-
-import itertools
 
 import numpy as np
 import pytest
 
 from qfhesim import noise, statevec
-from qfhesim.circuit import circuit, compact_wires, ladder16, measure
+from qfhesim.circuit import circuit, compact_wires, gate, ladder16, measure
 from qfhesim.compiler import compile_qfhe_to_circuit
 from qfhesim.harness import default_placement, input_bits_of, reference_pattern
 from qfhesim.noise import NoiseModel, noisy_execute, schedule_layers
@@ -108,10 +107,25 @@ def measured(circ):
     )
 
 
+def scalar_signature(sites, rng):
+    """One shot's events ``((step, code), ...)``, drawn from ``rng`` in the
+    scalar loop's order without simulating."""
+    events = []
+    for step, wires, p, fixed in sites:
+        if rng.random() >= p:
+            continue
+        if fixed:  # dephasing: its Z fires with probability p
+            events.append((step, fixed))
+        else:
+            events.append((step, 1 + int(rng.integers(3 if len(wires) == 1 else 15))))
+    return tuple(events)
+
+
 def test_signature_pass_leaves_each_stream_where_the_loop_does():
     # At p = 1 every site fires, so integer draws run back to back; the
     # integer draws share a buffered half of one 64-bit output, which a
-    # replay that skips ahead through PCG64.advance would lose.
+    # replay that skips ahead through PCG64.advance would lose.  The raw
+    # pass's leaf uniforms are the loop's next draws.
     gen = np.random.default_rng(61)
     levels = (0.0, 0.05, 0.5, 1.0)
     back_to_back = 0
@@ -126,8 +140,12 @@ def test_signature_pass_leaves_each_stream_where_the_loop_does():
             scalar_rng = np.random.default_rng(seed)
             scalar_trajectory(circ, program, model, scalar_rng)
             rng = np.random.default_rng(seed)
-            events = noise._signature(sites, rng)
-            assert np.array_equal(rng.random(8), scalar_rng.random(8))
+            events = scalar_signature(sites, rng)
+            after = scalar_rng.random(8)
+            assert np.array_equal(rng.random(8), after)
+            (raw_events,), uniforms = noise._draws(sites, [np.random.PCG64(seed)], 8)
+            assert raw_events == events
+            assert np.array_equal(uniforms, [after])
             fired = dict(events)
             drawn = [step in fired and not code for step, _, _, code in sites]
             back_to_back += any(a and b for a, b in zip(drawn, drawn[1:]))
@@ -194,18 +212,98 @@ def test_shots_equal_the_scalar_loop_when_the_budget_is_short(monkeypatch, budge
     assert max(rows for _, rows, _ in calls) == budget
 
 
-def trajectory_amps(num_wires, steps, events):
-    """One signature's trajectory, step by step on its own ``StateVector``."""
-    sv = StateVector(num_wires)
-    at = dict(events)
-    for step, (name, wires, param) in enumerate(steps):
-        if name is not None:
-            sv.apply_gate(name, wires, param)
-        elif step in at:
-            for w, a in zip(wires, (at[step] & 3, at[step] >> 2)):
-                if a:
-                    sv.apply_gate(PAULIS[a - 1], (w,))
-    return sv.amps
+class CountingBitGen:
+    """A PCG64 that counts its ``random_raw`` calls."""
+
+    def __init__(self, seed):
+        self.bitgen = np.random.PCG64(seed)
+        self.calls = 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self.bitgen.random_raw(size)
+
+
+RAW_MODELS = {
+    "default": NoiseModel(),
+    "p2=5e-2": NoiseModel(0.0, 5e-2, 0.0, 0.0),
+    "heavy": NoiseModel(0.3, 0.5, 0.1, 0.2),
+    "p=1": NoiseModel(1.0, 1.0, 0.1, 0.0),
+}
+
+
+@pytest.mark.parametrize("model", list(RAW_MODELS.values()), ids=list(RAW_MODELS))
+@pytest.mark.parametrize("routed", [True, False], ids=["routed", "unrouted"])
+def test_raw_pass_equals_the_generator_draws(model, routed):
+    # Per shot, the events and leaf uniforms (the readout flips' among them
+    # when p_ro > 0) equal the scalar signature followed by random(leaf) on
+    # the shot's own generator.  At p = 1 every one-wire and two-wire site
+    # fires, so integer draws run back to back through the kept half and
+    # every shot's raw array runs short.
+    circ, _ = compact_wires(routed_reference(3) if routed else unrouted_reference())
+    _, sites = noise._program(circ, model)
+    leaf = 1 + (len(circ.measurements) if model.p_ro > 0.0 else 0)
+    seeds = np.random.default_rng([62, routed]).integers(0, 2**63, size=24)
+    bitgens = [CountingBitGen(seed) for seed in seeds]
+    signatures, uniforms = noise._draws(sites, bitgens, leaf)
+    assert uniforms.shape == (len(seeds), leaf)
+    for seed, events, u in zip(seeds, signatures, uniforms):
+        rng = np.random.default_rng(seed)
+        assert events == scalar_signature(sites, rng)
+        assert np.array_equal(u, rng.random(leaf))
+    if model.p1 == 1.0:
+        assert all(bitgen.calls > 1 for bitgen in bitgens)
+        assert all(len(events) == len(sites) for events in signatures)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_with_output(index, value, seed):
+    """A PCG64 whose raw output ``index`` is ``value``: its 128-bit LCG state
+    is set so that, stepped ``index + 1`` times, XSL-RR gives ``value``."""
+    gen = np.random.default_rng(seed)
+    hi, lo_inc, hi_inc = (int(w) for w in gen.integers(0, 2**64, size=3, dtype=np.uint64))
+    inc = (hi_inc << 64 | lo_inc) | 1
+    rot = hi >> 58  # output = rotr(hi ^ lo, rot)
+    state = hi << 64 | hi ^ ((value << rot | value >> (64 - rot)) & (2**64 - 1))
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(index + 1):
+        state = (state - inc) * inverse % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+@pytest.mark.parametrize(
+    "value, wires, code",
+    [
+        (0xFFFFFFFF_00000000, [(0,)], 3),  # zero low half; the high half gives 3
+        (0, [(0,)], None),  # both halves zero: a further output
+        (0, [(0, 1)], None),
+        (0x00000000_FFFFFFFF, [(0,), (0,)], 3),  # the kept half is zero
+        (0x00000000_FFFFFFFF, [(0,), (0, 1)], 3),
+    ],
+)
+def test_raw_pass_redraws_a_zero_half(value, wires, code):
+    # Lemire rejects a 32-bit half of 0 for k = 3 and 15 alone (p = 2^-32
+    # per draw), so crafted states put one at raw output 1, the first
+    # integer draw's.  Sites at p = 1 each take one random(), then an
+    # integer draw.
+    sites = [(step, w, 1.0, 0) for step, w in enumerate(wires)]
+    for seed in range(4):
+        assert pcg64_with_output(1, value, seed).random_raw(2)[1] == value
+        (events,), uniforms = noise._draws(sites, [pcg64_with_output(1, value, seed)], 3)
+        rng = np.random.Generator(pcg64_with_output(1, value, seed))
+        assert events == scalar_signature(sites, rng)
+        assert np.array_equal(uniforms, [rng.random(3)])
+        if code is not None:
+            assert events[0] == (0, code)
 
 
 def noise_apply_rows_calls(monkeypatch):
@@ -221,55 +319,82 @@ def noise_apply_rows_calls(monkeypatch):
     return calls
 
 
-def assert_walk_yields_each_trajectory(num_wires, steps, signatures):
+BLOCKING = ("t", "tdg", "rz")
+
+
+def core_amps(num_wires, steps, core):
+    """One core's trajectory on its own ``StateVector``: an ``x`` on the wire
+    of each blocking gate the core flags, just before the gate; the last
+    blocking gate is bit 0.  The site steps are skipped."""
+    gates = [step for step in steps if step[0] is not None]
+    bit = 1 << sum(name in BLOCKING for name, _, _ in gates)
+    sv = StateVector(num_wires)
+    for name, wires, param in gates:
+        if name in BLOCKING:
+            bit >>= 1
+            if core & bit:
+                sv.apply_gate("x", wires)
+        sv.apply_gate(name, wires, param)
+    return sv.amps
+
+
+def assert_walk_yields_each_trajectory(num_wires, steps, cores):
     # Byte-equal, signed zeros included: the rows compare as raw 64-bit words.
     seen = []
-    for events, amps in noise._walk(num_wires, steps, signatures):
-        want = trajectory_amps(num_wires, steps, events)
-        assert np.array_equal(amps.view(np.uint64), want.view(np.uint64)), events
-        seen.append(events)
-    assert sorted(seen) == sorted(signatures)
+    for core, amps in noise._walk(num_wires, steps, cores):
+        want = core_amps(num_wires, steps, core)
+        assert np.array_equal(amps.view(np.uint64), want.view(np.uint64)), core
+        seen.append(core)
+    assert sorted(seen) == sorted(cores)
 
 
 @pytest.mark.parametrize("wires, chunk", [(16, 1 << 18), (16, 1 << 22), (20, 1 << 20)])
 def test_walk_keeps_rows_within_the_budget(monkeypatch, wires, chunk):
-    # Short circuits on real rows.  Under p = 1 gate noise every site fires,
-    # so every signature has an event at every site.  No call may hold more
-    # than one row or half the budget, so a chunk's rows and their
-    # re-indexed copy fit the budget together.
+    # Short circuits on real rows, with p = 1 gate noise sites for the walk
+    # to skip and three blocking gates, of which five cores flag distinct
+    # sets.  No call may hold more than one row or half the budget, so a
+    # chunk's rows and their re-indexed copy fit the budget together.
     monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", chunk)
     calls = noise_apply_rows_calls(monkeypatch)
     gen = np.random.default_rng(75)
-    circ = measured(random_circuit(gen, wires, 4))
-    steps, sites = noise._program(circ, NoiseModel(1.0, 1.0, 0.0, 0.0))
-    signatures = {noise._signature(sites, np.random.default_rng([75, s])) for s in range(5)}
-    assert len(signatures) == 5
-    assert_walk_yields_each_trajectory(wires, steps, signatures)
+    ins = list(random_circuit(gen, wires, 4).instructions)
+    for k, name in enumerate(("t", "rz", "tdg")):
+        param = 0.3 if name == "rz" else None
+        ins.insert(2 * k, gate(name, int(gen.integers(wires)), param=param))
+    circ = measured(circuit(wires, ins))
+    steps, _ = noise._program(circ, NoiseModel(1.0, 1.0, 0.0, 0.0))
+    cores = [int(c) for c in gen.choice(8, size=5, replace=False)]
+    assert_walk_yields_each_trajectory(wires, steps, cores)
     row = 16 << wires
     assert max(nbytes for _, _, nbytes in calls) <= max(chunk // 2, row)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5, 256])
 def test_walk_yields_each_signature_of_a_complete_tree(monkeypatch, chunk_rows):
-    # Every choice of event at four sites, among them signatures that are
-    # prefixes of others: whatever the chunk, each row must be its
-    # signature's trajectory.  With the whole tree in one chunk, each gate
-    # runs once per distinct set of events before it.
+    # Every set of flags at four t gates, among them cores that flag a
+    # prefix of others' gates: whatever the chunk, each row must be its
+    # core's trajectory, and every chunk starts from the shared trunk, so
+    # the s before the first t runs once.  With the whole tree in one
+    # chunk, each gate runs once per distinct set of flags at or before it,
+    # and each t's x once per such set that flags it, just before the t.
     wires = 2
     monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", chunk_rows * 16 << (wires + 1))
     assert rows_per_chunk(wires + 1) == chunk_rows
     calls = noise_apply_rows_calls(monkeypatch)
-    steps = [step for w in (0, 1, 0, 1) for step in (("h", (w,), None), (None, (w,), None))]
-    sites = [1, 3, 5, 7]
-    signatures = [
-        tuple((step, code) for step, code in zip(sites, codes) if code)
-        for codes in itertools.product(range(4), repeat=len(sites))
+    steps = [("s", (0,), None)] + [
+        step
+        for w in (0, 1, 0, 1)
+        for step in (("h", (w,), None), (None, (w,), None), ("t", (w,), None))
     ]
-    assert_walk_yields_each_trajectory(wires, steps, signatures)
-    prefixes = [
-        {tuple(e for e in events if e[0] < step) for events in signatures}
-        for step, (name, _, _) in enumerate(steps)
-        if name is not None
-    ]
-    if chunk_rows >= len(signatures):
-        assert sum(rows for gate, rows, _ in calls if gate == "h") == sum(map(len, prefixes))
+    cores = list(range(16))
+    assert_walk_yields_each_trajectory(wires, steps, cores)
+    assert [gate for gate, _, _ in calls].count("s") == 1
+    if chunk_rows >= len(cores):
+        want, k = [], 0  # k: the t gates so far; a core flags t number k at bit 4 - k
+        for name, _, _ in steps:
+            if name == "t":
+                k += 1
+                want.append(("x", len({c >> (4 - k) for c in cores if c >> (4 - k) & 1})))
+            if name is not None:
+                want.append((name, len({c >> (4 - k) for c in cores})))
+        assert [(gate, rows) for gate, rows, _ in calls] == want
