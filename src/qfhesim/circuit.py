@@ -16,7 +16,7 @@ from math import pi
 import numpy as np
 
 from . import statevec
-from .statevec import GATE_ARITY, StateVector, apply_rows, rows_per_chunk
+from .statevec import GATE_ARITY, StateVector, apply_rows, require_shots, rows_per_chunk
 
 EQUIV_TOL = 1e-9
 MAX_VERIFY_WIRES = 10
@@ -169,24 +169,32 @@ def readout_code(num_qubits: int, wires) -> np.ndarray:
     return code
 
 
-def _readout_law(circ: Circuit) -> tuple[np.ndarray, int]:
-    """Exact noiseless law over readout codes (see ``readout_code``), and its width.
-
-    Valid for terminal-measurement circuits: one simulation of the wires
-    some instruction touches, probabilities aggregated over the measured
-    wires.  Entry ``i`` is the probability of the readout string ``i`` in
-    ``width`` binary digits.
-    """
+def terminal_readout(circ: Circuit) -> tuple[Circuit, np.ndarray, int]:
+    """Front end of the readout laws: the circuit on the wires some
+    instruction touches (``compact_wires``), each basis index's readout
+    code and the readout width.  Measurements must be terminal, and one at
+    least."""
     circ.require_terminal_measurements()
     if not circ.measurements:
         raise ValueError("circuit has no measurements")
     circ, _ = compact_wires(circ)
-    meas = circ.measurements
-    sv = final_state(circ)
-    probs = np.abs(sv.amps) ** 2
-    width = len(meas)
-    code = readout_code(circ.num_wires, [ins.wires[0] for ins in meas])
-    return np.bincount(code, weights=probs, minlength=1 << width), width
+    wires = [ins.wires[0] for ins in circ.measurements]
+    return circ, readout_code(circ.num_wires, wires), len(wires)
+
+
+def readout_strings(by_code: np.ndarray) -> dict:
+    """The nonzero entries of an array indexed by readout code, keyed by
+    their readout strings (``len(by_code)`` is 2**width), in code order."""
+    width = len(by_code).bit_length() - 1
+    codes = np.flatnonzero(by_code).tolist()
+    return {format(c, f"0{width}b"): by_code[c].item() for c in codes}
+
+
+def _readout_law(circ: Circuit) -> np.ndarray:
+    """Exact noiseless law over readout codes, from one simulation."""
+    circ, code, width = terminal_readout(circ)
+    probs = np.abs(final_state(circ).amps) ** 2
+    return np.bincount(code, weights=probs, minlength=1 << width)
 
 
 def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
@@ -195,34 +203,27 @@ def exact_readout_distribution(circ: Circuit) -> dict[str, float]:
     First measurement = leftmost character; strings of probability 0 are
     left out.
     """
-    law, width = _readout_law(circ)
-    return {
-        format(i, f"0{width}b"): float(p) for i, p in enumerate(law) if p > 0.0
-    }
+    return readout_strings(_readout_law(circ))
 
 
 def sample_counts(
     circ: Circuit, shots: int, rng: np.random.Generator
 ) -> Counter:
-    """Sample terminal readout strings (noiseless); ``shots`` below 1 raises."""
-    if shots < 1:
-        raise ValueError(f"shots = {shots} is not a positive integer")
-    law, width = _readout_law(circ)
-    # The nonzero codes in index order are the readout strings in sorted order.
+    """Sample terminal readout strings (noiseless); ``shots`` must be an
+    integer of at least 1."""
+    require_shots(shots)
+    law = _readout_law(circ)
     codes = np.flatnonzero(law > 0.0)
     p = law[codes]
     p = p / p.sum()
     # Draws of 8 bytes each, in chunks within the byte budget, leave the
     # stream where one draw of `shots` would.
-    tally = np.zeros(len(codes), dtype=np.int64)
+    tally = np.zeros(len(law), dtype=np.int64)
     step = statevec.SHOT_CHUNK_BYTES // 8
     for lo in range(0, shots, step):
         draws = rng.choice(len(codes), size=min(step, shots - lo), p=p)
-        tally += np.bincount(draws, minlength=len(codes))
-    drawn = np.flatnonzero(tally)
-    return Counter(
-        {format(int(codes[k]), f"0{width}b"): int(tally[k]) for k in drawn}
-    )
+        tally += np.bincount(codes[draws], minlength=len(law))
+    return Counter(readout_strings(tally))
 
 
 def _require_unitary(circ: Circuit) -> None:

@@ -115,8 +115,7 @@ def _table_from_report(path: Path) -> harness.CountsTable:
     try:
         data = json.loads(report_path.read_text(encoding="utf-8"))
         inputs, shots = list(data["inputs"]), data["shots"]
-        if type(shots) is not int or shots < 1:
-            raise ValueError(f"shots {shots!r} is not a positive integer")
+        harness.require_shots(shots)
         outputs = list(data["output_nodes"])
         table = harness.CountsTable(inputs=inputs, shots=shots, output_nodes=outputs)
         for v in inputs:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler, noise as noise_mod
-from .circuit import CouplingMap, parity_postprocess, sample_counts
+from .circuit import CouplingMap, parity_postprocess, readout_strings, sample_counts
 from .pattern import (
     FlowMap,
     MeasurementPattern,
@@ -37,6 +37,7 @@ from .protocol import (
 )
 from .statevec import (  # the budget and its rules, re-exported
     SHOT_CHUNK_BYTES,
+    require_shots,
     rows_per_chunk,
     shots_per_chunk,
 )
@@ -63,8 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        require_shots(self.shots)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.inputs:
@@ -255,9 +255,9 @@ def _tally_rows(ones: list[int], joint: dict[str, int], out_bits) -> None:
     for k, bits in enumerate(out_bits):
         ones[k] += int(bits.sum())
         code = (code << 1) | bits
-    for c, n in zip(*np.unique(code, return_counts=True)):
-        key = format(int(c), f"0{len(out_bits)}b")
-        joint[key] = joint.get(key, 0) + int(n)
+    tally = np.bincount(code, minlength=1 << len(out_bits))
+    for key, n in readout_strings(tally).items():
+        joint[key] = joint.get(key, 0) + n
 
 
 def _joint_from_counts(counts, output_positions, outputs) -> dict[str, int]:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, compact_wires, read_records
-from .statevec import StateVector, apply_rows, rows_per_chunk
+from .circuit import Circuit, read_records, terminal_readout
+from .statevec import StateVector, apply_rows, require_shots, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
 _BLOCKING = ("t", "tdg", "rz")
@@ -85,39 +85,25 @@ def load_noise_model(path) -> NoiseModel:
     return read_records(path, record, lambda: NoiseModel(**values))
 
 
-def _pauli_code(num_wires: int, p: float, rng: np.random.Generator) -> int:
-    """The draw half of ``depolarize``: 0, or the code of the Pauli that fires.
-
-    One ``random()``, and when it falls below p one ``integers(3)`` (one
-    wire, codes 1..3) or ``integers(15)`` (two wires, codes 1..15).
-    """
-    if p <= 0.0 or rng.random() >= p:
-        return 0
-    return 1 + int(rng.integers(3 if num_wires == 1 else 15))
-
-
-def _apply_pauli(rows: np.ndarray, wires, code: int) -> None:
-    """The apply half, on every row: Pauli ``code & 3`` on the first wire,
-    ``code >> 2`` on the second (1, 2, 3 = X, Y, Z; 0 leaves the wire alone)."""
-    for w, a in zip(wires, (code & 3, code >> 2)):
-        if a:
-            apply_rows(rows, _PAULIS[a - 1], (w,))
-
-
 def depolarize(
     state: StateVector, wires, p: float, rng: np.random.Generator
 ) -> StateVector:
     """With probability p apply a uniformly random non-identity Pauli.
 
     One wire: one of X/Y/Z.  Two wires: one of the 15 non-identity Pauli
-    pairs.
+    pairs, code ``& 3`` on the first wire and ``>> 2`` on the second.
     """
     wires = tuple(wires)
     if len(wires) not in (1, 2):
         raise ValueError("depolarize acts on one or two wires")
     for w in wires:
         state._check_targets((w,), 1)
-    _apply_pauli(state.amps[None, :], wires, _pauli_code(len(wires), p, rng))
+    if p <= 0.0 or rng.random() >= p:
+        return state
+    code = 1 + int(rng.integers(3 if len(wires) == 1 else 15))
+    for w, a in zip(wires, (code & 3, code >> 2)):
+        if a:
+            apply_rows(state.amps[None, :], _PAULIS[a - 1], (w,))
     return state
 
 
@@ -363,22 +349,18 @@ def _readouts(
     permutations, negations and products with +-1 or +-i, which commute
     exactly with a Pauli, and a Pauli without X on the wire of a ``t``,
     ``tdg`` or ``rz`` commutes with it up to an exact negation.  So the
-    sum, the cdf and every readout string are the scalar loop's.
+    sum, the cdf and every readout code are the scalar loop's, read for
+    all shots at once.
     """
-    if shots < 1:
-        raise ValueError(f"shots = {shots} is not a positive integer")
-    circ.require_terminal_measurements()
-    if not circ.measurements:
-        raise ValueError("circuit has no measurements")
-    circ, _ = compact_wires(circ)
+    require_shots(shots)
+    circ, readout, width = terminal_readout(circ)
     n = circ.num_wires
     steps, sites = _program(circ, model)
-    meas_wires = [ins.wires[0] for ins in circ.measurements]
 
     # Each shot's draws in the scalar loop's order: its events, then the
     # uniform that picks the basis state, then one per readout flip.
     seeds = rng.integers(0, 2**63, size=shots)
-    leaf_draws = 1 + (len(meas_wires) if model.p_ro > 0.0 else 0)
+    leaf_draws = 1 + (width if model.p_ro > 0.0 else 0)
     signatures, uniforms = _draws(sites, map(np.random.PCG64, seeds), leaf_draws)
 
     # shots_of[core][mask]: the shots with that core and readout mask.
@@ -391,21 +373,19 @@ def _readouts(
         core, mask = divmod(entry, 1 << n)
         shots_of.setdefault(core, {}).setdefault(mask, []).append(shot)
 
-    readouts = [""] * shots
+    outcome = np.empty(shots, dtype=np.int64)
     for core, amps in _walk(n, steps, shots_of):
         p0 = np.abs(amps) ** 2
         for mask, group in shots_of[core].items():
             probs = p0[np.arange(1 << n) ^ mask] if mask else p0
-            probs = probs / probs.sum()
-            cdf = np.cumsum(probs)
-            for shot in group:
-                u = uniforms[shot]
-                outcome = min(int(np.searchsorted(cdf, u[0])), len(probs) - 1)
-                bits = [(outcome >> w) & 1 for w in meas_wires]
-                if model.p_ro > 0.0:
-                    bits = [b ^ 1 if f < model.p_ro else b for b, f in zip(bits, u[1:])]
-                readouts[shot] = "".join(map(str, bits))
-    return readouts
+            cdf = np.cumsum(probs / probs.sum())
+            outcome[group] = np.searchsorted(cdf, uniforms[group, 0])
+    # Uniform 1 + pos flips string position pos, code bit width - 1 - pos;
+    # there are no flip columns when p_ro is 0.
+    flips = uniforms[:, 1:] < model.p_ro
+    powers = 1 << np.arange(flips.shape[1])[::-1]
+    codes = readout[np.minimum(outcome, len(readout) - 1)] ^ (flips @ powers)
+    return [format(c, f"0{width}b") for c in codes.tolist()]
 
 
 def noisy_execute(
@@ -418,6 +398,6 @@ def noisy_execute(
     carried through a Pauli frame to an XOR mask on its readout index and a
     set of blocking gates that take an ``x``; each distinct set is simulated
     once (``_walk``).  Every shot's string equals that of simulating it
-    alone.  ``shots`` below 1 raises ``ValueError``.
+    alone.  ``shots`` must be an integer of at least 1.
     """
     return Counter(_readouts(circ, model, shots, rng))

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circuit import readout_strings
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
@@ -34,7 +35,6 @@ from .pattern import (
 from .statevec import BranchBatch, ShotBatch, Y_BASIS_ANGLE
 
 DIST_TOL = 1e-9
-MAX_ENUMERATED_MEASUREMENTS = 12
 
 
 def encode_input(input_bits) -> list[int]:
@@ -341,8 +341,7 @@ def _walk_branches(
     code = sum(bits[o] << (width - 1 - pos) for pos, o in enumerate(outs))
     readout = np.broadcast_to(code, batch.shape).ravel()
     probs = (batch.amps.real**2 + batch.amps.imag**2).sum(axis=1)
-    law = np.bincount(readout, weights=probs, minlength=1 << width)
-    dist = {format(k, f"0{width}b"): float(p) for k, p in enumerate(law) if p > 0}
+    dist = readout_strings(np.bincount(readout, weights=probs, minlength=1 << width))
     total = sum(dist.values())
     if abs(total - 1.0) > DIST_TOL:
         raise RuntimeError(f"branch probabilities sum to {total}, expected 1")
@@ -364,14 +363,6 @@ def enumerate_branches(
     """
     if mode not in ("interactive", "qfhe"):
         raise ValueError(f"unknown mode {mode!r}")
-    n_branch_points = len(pattern.flow.order)
-    if mode == "qfhe":
-        n_branch_points += len(pattern.quarter_nodes)
-    if n_branch_points > MAX_ENUMERATED_MEASUREMENTS:
-        raise ValueError(
-            f"{n_branch_points} measurement branch points exceed the"
-            f" enumeration guard of {MAX_ENUMERATED_MEASUREMENTS}"
-        )
     return _walk_branches(pattern, input_bits, mode, direct_input_prep)
 
 

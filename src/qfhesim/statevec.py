@@ -103,6 +103,12 @@ def shots_per_chunk(draws: int) -> int:
     return max(1, SHOT_CHUNK_BYTES // (8 * (4 * draws + 1)))
 
 
+def require_shots(shots) -> None:
+    """Reject a shot count that is not an integer of at least 1 (bools too)."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots = {shots!r} is not a positive integer")
+
+
 @dataclass
 class MeasurementOutcome:
     """Result of a single projective measurement."""

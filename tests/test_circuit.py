@@ -323,13 +323,20 @@ def test_sample_counts_draw_in_chunks_within_the_budget(monkeypatch, shots):
     assert sum(spy.sizes) == shots and all(0 < size <= 8 for size in spy.sizes)
 
 
-@pytest.mark.parametrize("shots", [0, -1])
+@pytest.mark.parametrize("shots", [0, -1, 2.5, True, "3"])
 def test_sample_counts_rejects_fewer_than_one_shot(shots):
     circ = compile_qfhe_to_circuit(reference_pattern(), [1, 0, 1]).circuit
     rng = np.random.default_rng(77)
-    with pytest.raises(ValueError, match=f"shots = {shots} is not a positive integer"):
+    message = re.escape(f"shots = {shots!r} is not a positive integer")
+    with pytest.raises(ValueError, match=message):
         sample_counts(circ, shots, rng)
     assert rng.random() == np.random.default_rng(77).random()
+
+
+def test_sample_counts_takes_a_numpy_integer_shot_count():
+    circ = compile_qfhe_to_circuit(reference_pattern(), [1, 0, 1]).circuit
+    got = sample_counts(circ, np.int64(3), np.random.default_rng(78))
+    assert got == sample_counts(circ, 3, np.random.default_rng(78))
 
 
 def test_circuit_file_round_trip(tmp_path):

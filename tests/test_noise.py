@@ -185,13 +185,20 @@ def test_noisy_execute_requires_terminal_measurements():
         noisy_execute(c, NoiseModel(), 1, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("shots", [0, -1])
+@pytest.mark.parametrize("shots", [0, -1, 2.5, True, "3"])
 def test_noisy_execute_rejects_fewer_than_one_shot(shots):
     c = circuit(1, [gate("h", 0), measure(0, "a")])
     rng = np.random.default_rng(57)
-    with pytest.raises(ValueError, match=f"shots = {shots} is not a positive integer"):
+    message = re.escape(f"shots = {shots!r} is not a positive integer")
+    with pytest.raises(ValueError, match=message):
         noisy_execute(c, NoiseModel(), shots, rng)
     assert rng.random() == np.random.default_rng(57).random()
+
+
+def test_noisy_execute_takes_a_numpy_integer_shot_count():
+    c = circuit(2, [gate("h", 0), gate("cnot", 0, 1), measure(0, "a"), measure(1, "b")])
+    got = noisy_execute(c, NoiseModel(), np.int64(3), np.random.default_rng(58))
+    assert got == noisy_execute(c, NoiseModel(), 3, np.random.default_rng(58))
 
 
 def _joint(counts, shots):

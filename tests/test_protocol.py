@@ -13,8 +13,8 @@ from qfhesim.pattern import (
     MeasurementPattern,
     OpenGraph,
     _with_input_flips,
+    flow_order_from_partial,
     input_keys,
-    random_pattern,
 )
 from qfhesim.protocol import (
     client_basis,
@@ -261,24 +261,31 @@ def test_enumeration_normalises():
     assert abs(sum(dist.values()) - 1.0) < 1e-9
 
 
-def test_enumeration_guard():
-    rng = np.random.default_rng(35)
-    big = random_pattern(rng, max_measured=5)
-    # guard is on branch points, so force it with a fake wide pattern
+def chain_pattern(nodes):
+    """A straight chain 1 - 2 - ... - nodes with every measured angle 0."""
     graph = OpenGraph(
-        tuple(range(1, 16)),
-        tuple((i, i + 1) for i in range(1, 15)),
+        tuple(range(1, nodes + 1)),
+        tuple((i, i + 1) for i in range(1, nodes)),
         (1,),
-        (15,),
+        (nodes,),
     )
-    f = {i: i + 1 for i in range(1, 15)}
-    from qfhesim.pattern import flow_order_from_partial
-
+    f = {i: i + 1 for i in range(1, nodes)}
     order = flow_order_from_partial(graph, f)
-    pat = MeasurementPattern(graph, FlowMap(f, order), {i: 0 for i in range(1, 15)})
-    with pytest.raises(ValueError, match="guard"):
-        enumerate_branches(pat, [0], mode="interactive")
-    assert big is not None
+    return MeasurementPattern(graph, FlowMap(f, order), {i: 0 for i in range(1, nodes)})
+
+
+def test_enumeration_guard():
+    # 14 branch points: the branch walk's rows hold the register's 2^15
+    # amplitudes, and both runs of the protocol give one law.
+    pat = chain_pattern(15)
+    interactive = enumerate_branches(pat, [1], mode="interactive")
+    qfhe = enumerate_branches(pat, [1], mode="qfhe")
+    assert abs(sum(interactive.values()) - 1.0) < 1e-9
+    assert total_variation(interactive, qfhe) < 1e-9
+    # 21 qubits are past the width every state vector checks before it
+    # allocates.
+    with pytest.raises(ValueError, match="qubit count 21 outside supported range"):
+        enumerate_branches(chain_pattern(21), [0], mode="interactive")
 
 
 def test_j0_distribution():

@@ -197,6 +197,41 @@ def test_random_compiled_pattern_shots_equal_the_scalar_loop():
         assert_same_shots(circ, model, 40, [73, trial])
 
 
+@pytest.mark.parametrize(
+    "circ, model",
+    [
+        pytest.param(
+            measured(random_circuit(np.random.default_rng(75), 5, 30)),
+            NoiseModel(0.05, 0.1, 1.0, 0.05),
+            id="every-bit-flips",
+        ),
+        pytest.param(
+            circuit(
+                2,
+                [gate("h", 0), gate("cnot", 0, 1), gate("t", 1), gate("h", 1)]
+                + [measure(1, "a")],
+            ),
+            NoiseModel(0.1, 0.1, 0.2, 0.1),
+            id="width-1",
+        ),
+        pytest.param(
+            circuit(
+                4,
+                [gate("h", 3), gate("cnot", 3, 0), gate("t", 0), gate("h", 0)]
+                + [gate("h", 2), measure(3, "a"), measure(0, "b"), measure(2, "c")],
+            ),
+            NoiseModel(0.1, 0.1, 0.2, 0.1),
+            id="idle-wire",
+        ),
+    ],
+)
+def test_readout_code_edges_equal_the_scalar_loop(circ, model):
+    # p_ro = 1 flips every position of the code; one measured wire is a
+    # one-digit code; wire 1 is idle, so the compacted wires renumber and
+    # the readout order (3, 0, 2) is not the wire order.
+    assert_same_shots(circ, model, 200, 75)
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3])
 def test_shots_equal_the_scalar_loop_when_the_budget_is_short(monkeypatch, budget):
     # Heavy noise gives deep, branching signature trees; the walk takes its
