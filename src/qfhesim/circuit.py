@@ -155,18 +155,20 @@ def compact_wires(circ: Circuit) -> tuple[Circuit, list[int]]:
     return Circuit(len(touched), new_ins), touched
 
 
-def readout_code(num_qubits: int, wires) -> np.ndarray:
-    """Each basis index's readout string over ``wires``, as a big-endian int.
-
-    Position ``pos`` of the string (first wire leftmost) is bit
-    ``len(wires) - 1 - pos`` of the code.
-    """
-    idx = np.arange(1 << num_qubits)
-    code = np.zeros(len(idx), dtype=np.int64)
-    width = len(wires)
-    for pos, q in enumerate(wires):
-        code |= ((idx >> q) & 1) << (width - 1 - pos)
+def pack_readout(bits) -> np.ndarray:
+    """Big-endian readout codes from a sequence of bit arrays, the first
+    one leftmost: position ``pos`` is bit ``len(bits) - 1 - pos`` of the
+    code.  The arrays broadcast together."""
+    code = np.zeros((), dtype=np.int64)
+    for b in bits:
+        code = (code << 1) | b
     return code
+
+
+def readout_code(num_qubits: int, wires) -> np.ndarray:
+    """Each basis index's readout string over ``wires``, as a big-endian int."""
+    idx = np.arange(1 << num_qubits)
+    return pack_readout([(idx >> q) & 1 for q in wires])
 
 
 def terminal_readout(circ: Circuit) -> tuple[Circuit, np.ndarray, int]:

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler, noise as noise_mod
-from .circuit import CouplingMap, parity_postprocess, readout_strings, sample_counts
+from .circuit import CouplingMap, parity_postprocess, sample_counts
+from .circuit import pack_readout, readout_strings
 from .pattern import (
     FlowMap,
     MeasurementPattern,
@@ -251,11 +252,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
 
 def _tally_rows(ones: list[int], joint: dict[str, int], out_bits) -> None:
     """Add one chunk of shots: ``out_bits[k]`` holds output k of every row."""
-    code = np.zeros(len(out_bits[0]), dtype=int)
     for k, bits in enumerate(out_bits):
         ones[k] += int(bits.sum())
-        code = (code << 1) | bits
-    tally = np.bincount(code, minlength=1 << len(out_bits))
+    tally = np.bincount(pack_readout(out_bits), minlength=1 << len(out_bits))
     for key, n in readout_strings(tally).items():
         joint[key] = joint.get(key, 0) + n
 

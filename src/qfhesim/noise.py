@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, read_records, terminal_readout
+from .circuit import Circuit, pack_readout, read_records, terminal_readout
 from .statevec import StateVector, apply_rows, require_shots, rows_per_chunk
 
 _PAULIS = ("x", "y", "z")
@@ -380,11 +380,10 @@ def _readouts(
             probs = p0[np.arange(1 << n) ^ mask] if mask else p0
             cdf = np.cumsum(probs / probs.sum())
             outcome[group] = np.searchsorted(cdf, uniforms[group, 0])
-    # Uniform 1 + pos flips string position pos, code bit width - 1 - pos;
-    # there are no flip columns when p_ro is 0.
-    flips = uniforms[:, 1:] < model.p_ro
-    powers = 1 << np.arange(flips.shape[1])[::-1]
-    codes = readout[np.minimum(outcome, len(readout) - 1)] ^ (flips @ powers)
+    # Uniform 1 + pos flips string position pos; there are no flip columns
+    # when p_ro is 0.
+    flips = pack_readout((uniforms[:, 1:] < model.p_ro).T)
+    codes = readout[np.minimum(outcome, len(readout) - 1)] ^ flips
     return [format(c, f"0{width}b") for c in codes.tolist()]
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import readout_strings
+from .circuit import pack_readout, readout_strings
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
@@ -337,11 +337,11 @@ def _walk_branches(
         bits = s if mode == "raw" else b
 
     outs = pattern.graph.outputs
-    width = len(outs)
-    code = sum(bits[o] << (width - 1 - pos) for pos, o in enumerate(outs))
+    code = pack_readout([bits[o] for o in outs])
     readout = np.broadcast_to(code, batch.shape).ravel()
     probs = (batch.amps.real**2 + batch.amps.imag**2).sum(axis=1)
-    dist = readout_strings(np.bincount(readout, weights=probs, minlength=1 << width))
+    law = np.bincount(readout, weights=probs, minlength=1 << len(outs))
+    dist = readout_strings(law)
     total = sum(dist.values())
     if abs(total - 1.0) > DIST_TOL:
         raise RuntimeError(f"branch probabilities sum to {total}, expected 1")
