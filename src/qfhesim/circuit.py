@@ -188,8 +188,9 @@ def readout_strings(by_code: np.ndarray) -> dict:
     """The nonzero entries of an array indexed by readout code, keyed by
     their readout strings (``len(by_code)`` is 2**width), in code order."""
     width = len(by_code).bit_length() - 1
-    codes = np.flatnonzero(by_code).tolist()
-    return {format(c, f"0{width}b"): by_code[c].item() for c in codes}
+    codes = np.flatnonzero(by_code)
+    keys = [format(c, f"0{width}b") for c in codes.tolist()]
+    return dict(zip(keys, by_code[codes].tolist()))
 
 
 def _readout_law(circ: Circuit) -> np.ndarray:

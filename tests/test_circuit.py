@@ -21,6 +21,7 @@ from qfhesim.circuit import (
     gate,
     load_circuit,
     measure,
+    pack_readout,
     parity_postprocess,
     reverse_cnot,
     rewrite_cz_to_cnot,
@@ -337,6 +338,22 @@ def test_sample_counts_takes_a_numpy_integer_shot_count():
     circ = compile_qfhe_to_circuit(reference_pattern(), [1, 0, 1]).circuit
     got = sample_counts(circ, np.int64(3), np.random.default_rng(78))
     assert got == sample_counts(circ, 3, np.random.default_rng(78))
+
+
+def test_pack_readout_puts_the_first_bit_array_leftmost():
+    # Bit arrays of different shapes broadcast; each code, formatted at the
+    # width, is the bits read first to last.
+    rng = np.random.default_rng(79)
+    bits = [
+        rng.integers(2, size=(3, 1, 1)),
+        rng.integers(2, size=(1, 4, 1)).astype(bool),
+        rng.integers(2, size=(3, 4, 5)),
+    ]
+    codes = pack_readout(bits)
+    assert codes.shape == (3, 4, 5)
+    for at in np.ndindex(codes.shape):
+        want = "".join(str(int(np.broadcast_to(b, codes.shape)[at])) for b in bits)
+        assert format(int(codes[at]), "03b") == want
 
 
 def test_circuit_file_round_trip(tmp_path):
