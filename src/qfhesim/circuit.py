@@ -623,20 +623,28 @@ def route(
 def parity_postprocess(
     counts: dict[str, int], masks: list[list[int]]
 ) -> list[int]:
-    """Per logical output, count shots whose masked XOR is 1."""
-    ones = [0] * len(masks)
-    for s, c in counts.items():
+    """Per logical output, count shots whose masked XOR is 1.
+
+    The keys of each width are read once into a (keys, width) bit array; a
+    mask's ones are the count-weighted sum of the rows whose masked columns
+    XOR to 1.  A position past a key's width raises, naming the first short
+    key's width.
+    """
+    flat = [posn for mask in masks for posn in mask]
+    ones = np.zeros(len(masks), dtype=np.int64)
+    for width in dict.fromkeys(map(len, counts)):
+        late = [posn for posn in flat if posn >= width]
+        if late:
+            raise ValueError(f"mask position {late[0]} exceeds readout width {width}")
+        keys = [s for s in counts if len(s) == width]
+        select = np.zeros((width, len(masks)), dtype=np.int64)
         for k, mask in enumerate(masks):
-            acc = 0
             for posn in mask:
-                if posn >= len(s):
-                    raise ValueError(
-                        f"mask position {posn} exceeds readout width {len(s)}"
-                    )
-                acc ^= int(s[posn])
-            if acc:
-                ones[k] += c
-    return ones
+                select[posn, k] += 1
+        text = np.frombuffer("".join(keys).encode(), dtype=np.uint8)
+        odd = ((text.reshape(len(keys), width) & 1) @ select) & 1
+        ones += np.array([counts[s] for s in keys], dtype=np.int64) @ odd
+    return ones.tolist()
 
 
 # -- circuit files ---------------------------------------------------------

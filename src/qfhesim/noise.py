@@ -7,11 +7,12 @@ probability ``p_idle``; readout bits flip with probability ``p_ro``.  The
 all-zero model is exactly the noiseless channel.
 
 A Pauli event does not depend on the state, so each shot draws its events
-first, read off its generator's raw outputs.  A Pauli frame carries them
-forward: every Clifford gate moves a Pauli to a Pauli exactly, and at a
-``t``, ``tdg`` or ``rz`` gate on wire a the frame's X on a is applied to
-the state just before the gate while the rest rides on (its Z on a meets a
-diagonal gate).  At the readout the frame's Z part does nothing and its X
+first, read off the raw outputs of its ``PCG64(seed)`` stream, which
+``streams.raw_outputs`` computes for a block of shots at once.  A Pauli
+frame carries them forward: every Clifford gate moves a Pauli to a Pauli
+exactly, and at a ``t``, ``tdg`` or ``rz`` gate on wire a the frame's X on
+a is applied to the state just before the gate while the rest rides on (its
+Z on a meets a diagonal gate).  At the readout the frame's Z part does nothing and its X
 part XORs a mask into the readout index.  So a shot's noise is a *core*,
 the set of blocking gates where an X lands, and a mask.  Shots with the
 same core share one simulation, and the cores run as the rows of one array
@@ -25,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import statevec
 from .circuit import Circuit, pack_readout, read_records, terminal_readout
 from .statevec import StateVector, apply_rows, require_shots, rows_per_chunk
+from .streams import RAW_TEMPORARIES, doubles, raw_outputs
 
 _PAULIS = ("x", "y", "z")
 _BLOCKING = ("t", "tdg", "rz")
@@ -169,14 +172,16 @@ def _program(circ: Circuit, model: NoiseModel):
     return steps, sites
 
 
-def _draws(sites, bitgens, leaf_draws: int):
+def _draws(sites, raw, shots: int, leaf_draws: int):
     """Each shot's events ``((step, code), ...)`` and its ``leaf_draws``
-    uniforms, read off its bit generator's raw outputs.
+    uniforms, read off its stream's raw outputs.
 
-    They are bit for bit the scalar loop's draws on ``Generator(bitgen)``:
-    per site one ``random()``, and at a depolarizing event one
-    ``integers(3)`` (one wire, codes 1..3) or ``integers(15)`` (two wires,
-    codes 1..15); then ``random(leaf_draws)``.  numpy makes them so:
+    ``raw(lo, hi, width)`` gives the first ``width`` raw outputs of shots
+    lo..hi-1 as a (hi - lo, width) uint64 array.  The draws are bit for bit
+    the scalar loop's on ``Generator(PCG64(seed))``: per site one
+    ``random()``, and at a depolarizing event one ``integers(3)`` (one wire,
+    codes 1..3) or ``integers(15)`` (two wires, codes 1..15); then
+    ``random(leaf_draws)``.  numpy makes them so:
 
     - ``random()`` is ``(raw >> 11) * 2**-53``, one output each;
     - ``integers(k)`` is a buffered Lemire draw on a 32-bit half h: a fresh
@@ -189,42 +194,60 @@ def _draws(sites, bitgens, leaf_draws: int):
     These are numpy internals (``next_double``, PCG64's ``next_uint32`` and
     the bounded-integer fill) that NEP 19 does not promise to keep;
     ``tests/test_trajectory_walk.py`` compares this pass with the
-    generator's own draws, on crafted states with a zero half too.  Each
-    shot converts its raw array once and loops over the sites in Python; an
-    array that integer draws run short is extended from the same generator.
+    generator's own draws, on crafted states with a zero half too.
+
+    The outputs come in blocks of shots whose LCG temporaries fit
+    ``SHOT_CHUNK_BYTES``.  One comparison of a block's site uniforms with
+    the site probabilities finds the shots with an event; Python visits
+    only those.  A fresh integer draw moves a shot's later sites one output
+    on, so they are compared again; a shot whose draws run past the spare
+    outputs reads a longer prefix of its stream.
     """
-    plan = [
-        (step, p, fixed, 3 if len(wires) == 1 else 15) for step, wires, p, fixed in sites
-    ]
-    need = len(sites) + leaf_draws
-    signatures, uniforms = [], []
-    for bitgen in bitgens:
-        raw = bitgen.random_raw(need + 16)  # spare outputs for a few integer draws
-        u = ((raw >> 11) * 2.0**-53).tolist()
-        events, i, fresh, kept = [], 0, 0, None
-        for step, p, fixed, k in plan:
-            i += 1
-            if u[i - 1] >= p:
-                continue
-            code = fixed
-            while not code:
-                if kept is None:
-                    if need + fresh >= len(raw):
-                        more = bitgen.random_raw(need)
-                        raw = np.concatenate((raw, more))
-                        u += ((more >> 11) * 2.0**-53).tolist()
-                    r = int(raw[i])
-                    half, kept = r & 0xFFFFFFFF, r >> 32
-                    i += 1
-                    fresh += 1
-                else:
-                    half, kept = kept, None
-                if half:
-                    code = 1 + (half * k >> 32)
-            events.append((step, code))
-        signatures.append(tuple(events))
-        uniforms.append(u[i : i + leaf_draws])
-    return signatures, np.array(uniforms)
+    n = len(sites)
+    step_of, wires_of, p_of, fixed_of = zip(*sites) if sites else ((),) * 4
+    p = np.array(p_of, dtype=float)
+    need = n + leaf_draws
+    width = need + 16  # spare outputs for a few integer draws
+
+    def shot_draws(shot, row, u, hits):  # hits: the sites that fire at offset 0
+        events, off, kept, first = [], 0, None, 0
+        while True:
+            for j in hits.tolist():
+                j += first
+                code, fresh = fixed_of[j], False
+                while not code:
+                    if kept is None:
+                        if need + off >= len(row):
+                            row = raw(shot, shot + 1, len(row) + need)[0]
+                            u = doubles(row)
+                        h = int(row[j + 1 + off])
+                        half, kept, off, fresh = h & 0xFFFFFFFF, h >> 32, off + 1, True
+                    else:
+                        half, kept = kept, None
+                    if half:
+                        code = 1 + (half * (3 if len(wires_of[j]) == 1 else 15) >> 32)
+                events.append((step_of[j], code))
+                if fresh:
+                    break
+            else:
+                return tuple(events), u[n + off : need + off]
+            # Sites j+1.. read their uniforms ``off`` outputs on now.
+            first = j + 1
+            hits = (u[first + off : n + off] < p[first:]).nonzero()[0]
+
+    signatures = [()] * shots
+    uniforms = np.empty((shots, leaf_draws))
+    block = max(1, statevec.SHOT_CHUNK_BYTES // (8 * RAW_TEMPORARIES * width))
+    for lo in range(0, shots, block):
+        rows = raw(lo, min(lo + block, shots), width)
+        u_rows = doubles(rows)
+        uniforms[lo : lo + len(rows)] = u_rows[:, n:need]
+        hit = u_rows[:, :n] < p
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            signatures[lo + r], uniforms[lo + r] = shot_draws(
+                lo + r, rows[r], u_rows[r], hit[r].nonzero()[0]
+            )
+    return signatures, uniforms
 
 
 def _pauli_frames(num_wires: int, steps) -> dict:
@@ -361,7 +384,9 @@ def _readouts(
     # uniform that picks the basis state, then one per readout flip.
     seeds = rng.integers(0, 2**63, size=shots)
     leaf_draws = 1 + (width if model.p_ro > 0.0 else 0)
-    signatures, uniforms = _draws(sites, map(np.random.PCG64, seeds), leaf_draws)
+    signatures, uniforms = _draws(
+        sites, lambda lo, hi, count: raw_outputs(seeds[lo:hi], count), shots, leaf_draws
+    )
 
     # shots_of[core][mask]: the shots with that core and readout mask.
     frames = _pauli_frames(n, steps) if any(signatures) else {}

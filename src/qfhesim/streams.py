@@ -1,13 +1,15 @@
-"""Seeded per-shot uniforms for a whole range of shots at once.
+"""Seeded per-shot streams for a whole range of shots at once.
 
 Shot ``k`` of input ``v`` under seed ``s`` draws its uniforms from
-``np.random.default_rng([s, v, k])``.  That stream is three fixed, published
+``np.random.default_rng([s, v, k])``, and a noisy shot reads the raw outputs
+of ``np.random.PCG64(seed)``.  Those streams are three fixed, published
 functions: numpy's ``SeedSequence`` hash (NEP 19 keeps it stable), O'Neill's
 PCG64 (a 128-bit LCG with XSL-RR output, pcg-random.org) and ``random()``,
-which is ``(next64 >> 11) * 2**-53``.  ``uniforms`` evaluates them as array
-arithmetic over shots, so a chunk of shots costs a fixed number of numpy
-calls instead of one Generator per shot, and returns the same doubles bit
-for bit.  The 128-bit LCG runs on (high, low) uint64 limbs.
+which is ``(next64 >> 11) * 2**-53``.  ``uniforms`` and ``raw_outputs``
+evaluate them as array arithmetic over shots, so a chunk of shots costs a
+fixed number of numpy calls instead of one generator per shot, and return
+the same numbers bit for bit.  The 128-bit LCG runs on (high, low) uint64
+limbs.
 """
 
 from __future__ import annotations
@@ -102,14 +104,23 @@ def _mulhi64(a, b):
     m = np.uint64(_M32)
     s = np.uint64(32)
     a0, a1, b0, b1 = a & m, a >> s, b & m, b >> s
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> s) + (p01 & m) + (p10 & m)
-    return a1 * b1 + (p01 >> s) + (p10 >> s) + (mid >> s)
+    p01, p10, mid = a0 * b1, a1 * b0, a0 * b0
+    mid >>= s
+    mid += p01 & m
+    mid += p10 & m
+    mid >>= s
+    mid += p01 >> s
+    mid += p10 >> s
+    mid += np.multiply(a1, b1, out=p01)
+    return mid
 
 
 def _mul128(ah, al, bh, bl):
     """(a * b) mod 2**128 on (high, low) limbs."""
-    return _mulhi64(al, bl) + ah * bl + al * bh, al * bl
+    hi = _mulhi64(al, bl)
+    hi += ah * bl
+    hi += al * bh
+    return hi, al * bl
 
 
 def uniforms(seed: int, value: int, start: int, stop: int, draws: int) -> np.ndarray:
@@ -128,8 +139,30 @@ def uniforms(seed: int, value: int, start: int, stop: int, draws: int) -> np.nda
             if lo >> 32:
                 words.append(shots >> np.uint64(32))
             state = _state_words(_pool(np.array(words, dtype=np.uint32)))
-            out[lo - start : hi - start] = _pcg_doubles(state, draws)
+            out[lo - start : hi - start] = doubles(_pcg_raw(state, draws))
     return out
+
+
+def doubles(raw: np.ndarray) -> np.ndarray:
+    """``random()``'s doubles from raw outputs: ``(raw >> 11) * 2**-53``."""
+    return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def raw_outputs(seeds, count: int) -> np.ndarray:
+    """``PCG64(seed).random_raw(count)`` for every seed below 2**64.
+
+    Returns a (len(seeds), count) uint64 array.  A seed below 2**32 is one
+    entropy word and a larger one two; the pool pads a short entropy with
+    words of 0, so hashing every seed as (low, high) gives both.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = np.array([seeds & np.uint64(_M32), seeds >> np.uint64(32)], dtype=np.uint32)
+    return _pcg_raw(_state_words(_pool(words)), count)
+
+
+# The (rows, count) uint64 arrays ``_pcg_raw`` holds at once at its peak,
+# its result among them.
+RAW_TEMPORARIES = 8
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +178,8 @@ def _draw_constants(draws: int):
     return (*_limbs(powers[1 : draws + 1]), *_limbs(sums[2 : draws + 2]))
 
 
-def _pcg_doubles(state: np.ndarray, draws: int) -> np.ndarray:
-    """PCG64 seeded from ``generate_state(4, uint64)``: ``draws`` doubles per row.
+def _pcg_raw(state: np.ndarray, draws: int) -> np.ndarray:
+    """PCG64 seeded from ``generate_state(4, uint64)``: ``draws`` raw outputs per row.
 
     Seeding sets inc = (seq << 1) | 1 and state = (inc + init) * M + inc,
     with init = words 0-1 and seq = words 2-3 (high word first).  Draw j
@@ -157,13 +190,17 @@ def _pcg_doubles(state: np.ndarray, draws: int) -> np.ndarray:
     init_h, init_l, seq_h, seq_l = state[:, :, None]
     inc_h = (seq_h << np.uint64(1)) | (seq_l >> np.uint64(63))
     inc_l = (seq_l << np.uint64(1)) | np.uint64(1)
-    a_h, a_l, c_h, c_l = _draw_constants(draws)
-    x_h, x_l = _mul128(a_h, a_l, init_h, init_l)
+    # The constants are cached at powers of two, so a process holds few
+    # sets however many widths its circuits need.
+    size = 1 << max(draws - 1, 0).bit_length()
+    a_h, a_l, c_h, c_l = (c[:draws] for c in _draw_constants(size))
+    hi, lo = _mul128(a_h, a_l, init_h, init_l)
     y_h, y_l = _mul128(c_h, c_l, inc_h, inc_l)
-    lo = x_l + y_l
-    hi = x_h + y_h + (lo < x_l)
+    lo += y_l
+    hi += y_h
+    hi += lo < y_l  # the carry
+    del y_h, y_l
     # XSL-RR: xor the halves, rotate right by the top 6 bits.
-    word = hi ^ lo
+    word = np.bitwise_xor(lo, hi, out=lo)
     rot = hi >> np.uint64(58)
-    word = (word >> rot) | (word << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (word >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return (word >> rot) | (word << ((np.uint64(64) - rot) & np.uint64(63)))

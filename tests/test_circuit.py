@@ -259,6 +259,26 @@ def test_parity_postprocess_examples():
     assert parity_postprocess({"11": 5}, [[0, 1]]) == [0]
     with pytest.raises(ValueError):
         parity_postprocess({"01": 1}, [[5]])
+    assert parity_postprocess({}, [[0, 1], [5]]) == [0, 0]
+    assert parity_postprocess({"0110": 3}, [[], [1]]) == [0, 3]
+    # Keys of unequal width; a position listed twice cancels.
+    counts = {"0110": 3, "11": 2, "101": 4}
+    assert parity_postprocess(counts, [[1], [0, 1], [], [0, 0, 1]]) == [5, 7, 0, 5]
+
+
+@pytest.mark.parametrize(
+    "counts, masks, posn, width",
+    [
+        ({"0110": 1}, [[4]], 4, 4),  # a position equal to the width
+        ({"0110": 1}, [[1, 2], [7, 4]], 7, 4),
+        ({"0110": 1, "01": 2}, [[0], [3, 1]], 3, 2),  # the first short key
+        ({"01": 2, "0110": 1}, [[1, 5], [3]], 5, 2),
+    ],
+)
+def test_parity_postprocess_names_the_first_position_past_a_key(counts, masks, posn, width):
+    message = f"mask position {posn} exceeds readout width {width}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parity_postprocess(counts, masks)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

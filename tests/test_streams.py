@@ -1,19 +1,23 @@
-"""The vectorised per-shot uniforms against numpy's own seeded generators.
+"""The vectorised per-shot streams against numpy's own seeded generators.
 
 ``streams.uniforms`` must return ``default_rng([seed, value, shot]).random(draws)``
 bit for bit.  The cases cover seeds at entropy-word boundaries and one of
 three words, shot indices on both sides of 2**32 (where a shot index gains a
 second entropy word), and every draw count a reference-pattern shot reads.
-Over all cases the check compares 101,200 shots.
+Over all cases the check compares 101,200 shots.  ``streams.raw_outputs``
+must return ``PCG64(seed).random_raw(count)`` for seeds on both sides of
+2**32 and 1,000 random ones, at the widths of a noise-sweep job and of a
+routed noisy job.
 """
 
 import inspect
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from qfhesim import streams
+from qfhesim import statevec, streams
 from qfhesim.harness import reference_pattern
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**63, 1180591620717411303424]  # the last is 2**70
@@ -45,6 +49,40 @@ def test_uniforms_of_a_sub_range_are_its_rows():
     assert streams.uniforms(3, 5, 7, 7, 4).shape == (0, 4)
 
 
+RAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+RAW_WIDTHS = (1, 43, 657)  # one output; a noise-sweep job's; a routed job's
+
+
+def _mismatched_seeds(raw_outputs, seeds, count) -> int:
+    got = raw_outputs(np.array(seeds, dtype=np.uint64), count)
+    want = [np.random.PCG64(int(seed)).random_raw(count) for seed in seeds]
+    assert got.dtype == np.uint64 and got.shape == (len(seeds), count)
+    return int(np.sum(np.any(got != np.array(want).reshape(got.shape), axis=1)))
+
+
+@pytest.mark.parametrize("count", RAW_WIDTHS)
+def test_raw_outputs_equal_seeded_bit_generators(count):
+    seeds = RAW_SEEDS + np.random.default_rng(count).integers(0, 2**63, 1000).tolist()
+    for lo in range(0, len(seeds), 256):
+        assert _mismatched_seeds(streams.raw_outputs, seeds[lo : lo + 256], count) == 0
+
+
+@pytest.mark.parametrize("count", RAW_WIDTHS[1:])
+def test_raw_outputs_hold_at_most_their_temporaries(count):
+    # A block of as many seeds as the budget gives ``noise._draws`` at this
+    # width peaks within RAW_TEMPORARIES arrays of its own size.
+    rows = statevec.SHOT_CHUNK_BYTES // (8 * streams.RAW_TEMPORARIES * count)
+    seeds = np.random.default_rng(count).integers(0, 2**63, size=rows)
+    streams.raw_outputs(seeds, count)  # caches the draw constants
+    tracemalloc.start()
+    try:
+        out = streams.raw_outputs(seeds, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= streams.RAW_TEMPORARIES * out.nbytes <= statevec.SHOT_CHUNK_BYTES
+
+
 @pytest.mark.parametrize(
     "original, mutant",
     [
@@ -60,3 +98,5 @@ def test_stream_check_has_teeth(original, mutant):
     module = types.ModuleType("mutant_streams")
     exec(compile(source.replace(original, mutant), "<mutant>", "exec"), module.__dict__)
     assert _mismatched_shots(module.uniforms, 0, 3, 0, 200, 11) > 0
+    for count in RAW_WIDTHS:
+        assert _mismatched_seeds(module.raw_outputs, RAW_SEEDS, count) > 0

@@ -11,7 +11,7 @@ readout string must equal the loop's.
 import numpy as np
 import pytest
 
-from qfhesim import noise, statevec
+from qfhesim import noise, statevec, streams
 from qfhesim.circuit import circuit, compact_wires, gate, ladder16, measure
 from qfhesim.compiler import compile_qfhe_to_circuit
 from qfhesim.harness import default_placement, input_bits_of, reference_pattern
@@ -121,6 +121,24 @@ def scalar_signature(sites, rng):
     return tuple(events)
 
 
+class RawPrefixes:
+    """``_draws``' ``raw`` callable over one bit generator per shot.
+
+    ``make(shot)`` builds the shot's generator afresh for every call, so a
+    call reads the first outputs of each stream, as ``raw_outputs`` does;
+    ``calls`` records each call's ``(lo, hi, width)``.
+    """
+
+    def __init__(self, make):
+        self.make = make
+        self.calls = []
+
+    def __call__(self, lo, hi, width):
+        self.calls.append((lo, hi, width))
+        out = [self.make(shot).random_raw(width) for shot in range(lo, hi)]
+        return np.array(out, dtype=np.uint64).reshape(hi - lo, width)
+
+
 def test_signature_pass_leaves_each_stream_where_the_loop_does():
     # At p = 1 every site fires, so integer draws run back to back; the
     # integer draws share a buffered half of one 64-bit output, which a
@@ -143,7 +161,8 @@ def test_signature_pass_leaves_each_stream_where_the_loop_does():
             events = scalar_signature(sites, rng)
             after = scalar_rng.random(8)
             assert np.array_equal(rng.random(8), after)
-            (raw_events,), uniforms = noise._draws(sites, [np.random.PCG64(seed)], 8)
+            raw = RawPrefixes(lambda _: np.random.PCG64(seed))
+            (raw_events,), uniforms = noise._draws(sites, raw, 1, 8)
             assert raw_events == events
             assert np.array_equal(uniforms, [after])
             fired = dict(events)
@@ -247,16 +266,34 @@ def test_shots_equal_the_scalar_loop_when_the_budget_is_short(monkeypatch, budge
     assert max(rows for _, rows, _ in calls) == budget
 
 
-class CountingBitGen:
-    """A PCG64 that counts its ``random_raw`` calls."""
+@pytest.mark.parametrize(
+    "routed, model, budget",
+    [
+        (False, NoiseModel(0.0, 5e-2, 0.0, 0.0), 8 << 10),
+        (True, NoiseModel(), 128 << 10),
+    ],
+    ids=["sweep", "routed"],
+)
+def test_raw_blocks_keep_within_the_budget(monkeypatch, routed, model, budget):
+    # A budget of two to three shots' raw outputs with their LCG
+    # temporaries: the shots' streams come in several blocks, none larger
+    # than the budget, and every shot still equals the scalar loop's.
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", budget)
+    blocks = []
+    real = noise.raw_outputs
 
-    def __init__(self, seed):
-        self.bitgen = np.random.PCG64(seed)
-        self.calls = 0
+    def spy(seeds, count):
+        out = real(seeds, count)
+        blocks.append(out.shape)
+        return out
 
-    def random_raw(self, size):
-        self.calls += 1
-        return self.bitgen.random_raw(size)
+    monkeypatch.setattr(noise, "raw_outputs", spy)
+    circ = routed_reference(5) if routed else unrouted_reference()
+    want = scalar_readouts(circ, model, 40, np.random.default_rng([76, routed]))
+    assert noise._readouts(circ, model, 40, np.random.default_rng([76, routed])) == want
+    assert len(blocks) > 1 and max(rows for rows, _ in blocks) > 1
+    per_output = 8 * streams.RAW_TEMPORARIES
+    assert all(per_output * rows * count <= budget for rows, count in blocks)
 
 
 RAW_MODELS = {
@@ -274,20 +311,23 @@ def test_raw_pass_equals_the_generator_draws(model, routed):
     # when p_ro > 0) equal the scalar signature followed by random(leaf) on
     # the shot's own generator.  At p = 1 every one-wire and two-wire site
     # fires, so integer draws run back to back through the kept half and
-    # every shot's raw array runs short.
+    # every shot's outputs run short: each reads a longer prefix of its own
+    # stream.
     circ, _ = compact_wires(routed_reference(3) if routed else unrouted_reference())
     _, sites = noise._program(circ, model)
     leaf = 1 + (len(circ.measurements) if model.p_ro > 0.0 else 0)
     seeds = np.random.default_rng([62, routed]).integers(0, 2**63, size=24)
-    bitgens = [CountingBitGen(seed) for seed in seeds]
-    signatures, uniforms = noise._draws(sites, bitgens, leaf)
+    raw = RawPrefixes(lambda shot: np.random.PCG64(seeds[shot]))
+    signatures, uniforms = noise._draws(sites, raw, len(seeds), leaf)
     assert uniforms.shape == (len(seeds), leaf)
     for seed, events, u in zip(seeds, signatures, uniforms):
         rng = np.random.default_rng(seed)
         assert events == scalar_signature(sites, rng)
         assert np.array_equal(u, rng.random(leaf))
+    first = raw.calls[0][2]
+    longer = {lo for lo, hi, width in raw.calls if width > first and hi == lo + 1}
     if model.p1 == 1.0:
-        assert all(bitgen.calls > 1 for bitgen in bitgens)
+        assert longer == set(range(len(seeds)))
         assert all(len(events) == len(sites) for events in signatures)
 
 
@@ -333,7 +373,8 @@ def test_raw_pass_redraws_a_zero_half(value, wires, code):
     sites = [(step, w, 1.0, 0) for step, w in enumerate(wires)]
     for seed in range(4):
         assert pcg64_with_output(1, value, seed).random_raw(2)[1] == value
-        (events,), uniforms = noise._draws(sites, [pcg64_with_output(1, value, seed)], 3)
+        raw = RawPrefixes(lambda _: pcg64_with_output(1, value, seed))
+        (events,), uniforms = noise._draws(sites, raw, 1, 3)
         rng = np.random.Generator(pcg64_with_output(1, value, seed))
         assert events == scalar_signature(sites, rng)
         assert np.array_equal(uniforms, [rng.random(3)])
