@@ -29,7 +29,6 @@ import numpy as np
 from . import statevec
 from .circuit import Circuit, pack_readout, read_records, terminal_readout
 from .statevec import StateVector, apply_rows, require_shots, rows_per_chunk
-from .streams import RAW_TEMPORARIES, doubles, raw_outputs
 
 _PAULIS = ("x", "y", "z")
 _BLOCKING = ("t", "tdg", "rz")
@@ -203,6 +202,8 @@ def _draws(sites, raw, shots: int, leaf_draws: int):
     on, so they are compared again; a shot whose draws run past the spare
     outputs reads a longer prefix of its stream.
     """
+    from .streams import RAW_TEMPORARIES, doubles  # on first use, as in _readouts
+
     n = len(sites)
     step_of, wires_of, p_of, fixed_of = zip(*sites) if sites else ((),) * 4
     p = np.array(p_of, dtype=float)
@@ -379,6 +380,8 @@ def _readouts(
     circ, readout, width = terminal_readout(circ)
     n = circ.num_wires
     steps, sites = _program(circ, model)
+
+    from .streams import raw_outputs  # on first use: `import qfhesim` skips it
 
     # Each shot's draws in the scalar loop's order: its events, then the
     # uniform that picks the basis state, then one per readout flip.

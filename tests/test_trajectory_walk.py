@@ -280,14 +280,14 @@ def test_raw_blocks_keep_within_the_budget(monkeypatch, routed, model, budget):
     # than the budget, and every shot still equals the scalar loop's.
     monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", budget)
     blocks = []
-    real = noise.raw_outputs
+    real = streams.raw_outputs
 
     def spy(seeds, count):
         out = real(seeds, count)
         blocks.append(out.shape)
         return out
 
-    monkeypatch.setattr(noise, "raw_outputs", spy)
+    monkeypatch.setattr(streams, "raw_outputs", spy)
     circ = routed_reference(5) if routed else unrouted_reference()
     want = scalar_readouts(circ, model, 40, np.random.default_rng([76, routed]))
     assert noise._readouts(circ, model, 40, np.random.default_rng([76, routed])) == want
