@@ -12,11 +12,11 @@ first, read off the raw outputs of its ``PCG64(seed)`` stream, which
 frame carries them forward: every Clifford gate moves a Pauli to a Pauli
 exactly, and at a ``t``, ``tdg`` or ``rz`` gate on wire a the frame's X on
 a is applied to the state just before the gate while the rest rides on (its
-Z on a meets a diagonal gate).  At the readout the frame's Z part does nothing and its X
-part XORs a mask into the readout index.  So a shot's noise is a *core*,
-the set of blocking gates where an X lands, and a mask.  Shots with the
-same core share one simulation, and the cores run as the rows of one array
-that splits only at the gates they flag.
+Z on a meets a diagonal gate).  At the readout the frame's Z part does
+nothing and its X part XORs a mask into the readout index.  So a shot's
+noise is a *core*, the set of blocking gates where an X lands, and a mask.
+Shots with the same core share one simulation, and the cores run as the
+rows of one array that splits only at the gates they flag.
 """
 
 from __future__ import annotations

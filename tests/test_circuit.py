@@ -275,7 +275,9 @@ def test_parity_postprocess_examples():
         ({"01": 2, "0110": 1}, [[1, 5], [3]], 5, 2),
     ],
 )
-def test_parity_postprocess_names_the_first_position_past_a_key(counts, masks, posn, width):
+def test_parity_postprocess_names_the_first_position_past_a_key(
+    counts, masks, posn, width
+):
     message = f"mask position {posn} exceeds readout width {width}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         parity_postprocess(counts, masks)
