@@ -193,6 +193,56 @@ def readout_strings(by_code: np.ndarray) -> dict:
     return dict(zip(keys, by_code[codes].tolist()))
 
 
+def readout_tally(counts: dict[str, int], width: int) -> np.ndarray:
+    """Counts of readout strings of ``width`` positions as an array indexed
+    by readout code; the one place a readout string is read back as a code."""
+    tally = np.zeros(1 << width, dtype=np.int64)
+    tally[[int(key, 2) for key in counts]] = list(counts.values())
+    return tally
+
+
+def _nonzero_bits(by_code: np.ndarray):
+    """The codes of an array's nonzero entries, and their bits by position."""
+    width = len(by_code).bit_length() - 1
+    codes = np.flatnonzero(by_code)
+    return codes, (codes[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def readout_marginals(by_code: np.ndarray) -> list:
+    """Per readout position, the total of an array indexed by readout code
+    over the codes that read 1 there, summed in code order."""
+    codes, bits = _nonzero_bits(by_code)
+    return (by_code[codes][:, None] * bits).sum(axis=0).tolist()
+
+
+def parity_tally(by_code: np.ndarray, masks: list[list[int]]) -> np.ndarray:
+    """An array indexed by readout code, re-indexed by parity masks: a mask
+    is a list of readout positions, a code's bit for it the XOR of its bits
+    there (a position listed twice cancels), the first mask leftmost."""
+    codes, bits = _nonzero_bits(by_code)
+    select = np.zeros((bits.shape[1], len(masks)), dtype=np.int64)
+    for k, mask in enumerate(masks):
+        for pos in mask:
+            select[pos, k] += 1
+    parity_code = pack_readout((bits @ select & 1).T)
+    tally = np.bincount(parity_code, weights=by_code[codes], minlength=1 << len(masks))
+    return tally.astype(by_code.dtype)
+
+
+def parity_postprocess(counts: dict[str, int], masks: list[list[int]]) -> list[int]:
+    """Per logical output, count shots whose masked XOR is 1: the keys of
+    each width go through ``readout_tally`` and ``parity_tally``.  A position
+    past a key's width raises, naming the first short key's width."""
+    ones = np.zeros(len(masks), dtype=np.int64)
+    for width in dict.fromkeys(map(len, counts)):
+        late = [posn for mask in masks for posn in mask if posn >= width]
+        if late:
+            raise ValueError(f"mask position {late[0]} exceeds readout width {width}")
+        same = {s: c for s, c in counts.items() if len(s) == width}
+        ones += readout_marginals(parity_tally(readout_tally(same, width), masks))
+    return ones.tolist()
+
+
 def _readout_law(circ: Circuit) -> np.ndarray:
     """Exact noiseless law over readout codes, from one simulation."""
     circ, code, width = terminal_readout(circ)
@@ -615,36 +665,6 @@ def route(
     routed = circuit(coupling.num_nodes, out)
     check_conformance(routed, coupling)
     return routed, dict(pos)
-
-
-# -- classical parity post-processing --------------------------------------
-
-
-def parity_postprocess(
-    counts: dict[str, int], masks: list[list[int]]
-) -> list[int]:
-    """Per logical output, count shots whose masked XOR is 1.
-
-    The keys of each width are read once into a (keys, width) bit array; a
-    mask's ones are the count-weighted sum of the rows whose masked columns
-    XOR to 1.  A position past a key's width raises, naming the first short
-    key's width.
-    """
-    flat = [posn for mask in masks for posn in mask]
-    ones = np.zeros(len(masks), dtype=np.int64)
-    for width in dict.fromkeys(map(len, counts)):
-        late = [posn for posn in flat if posn >= width]
-        if late:
-            raise ValueError(f"mask position {late[0]} exceeds readout width {width}")
-        keys = [s for s in counts if len(s) == width]
-        select = np.zeros((width, len(masks)), dtype=np.int64)
-        for k, mask in enumerate(masks):
-            for posn in mask:
-                select[posn, k] += 1
-        text = np.frombuffer("".join(keys).encode(), dtype=np.uint8)
-        odd = ((text.reshape(len(keys), width) & 1) @ select) & 1
-        ones += np.array([counts[s] for s in keys], dtype=np.int64) @ odd
-    return ones.tolist()
 
 
 # -- circuit files ---------------------------------------------------------

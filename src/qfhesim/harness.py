@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler, noise as noise_mod
-from .circuit import CouplingMap, parity_postprocess, sample_counts
-from .circuit import pack_readout, readout_strings
+from .circuit import CouplingMap, pack_readout, parity_tally, readout_marginals
+from .circuit import readout_strings, readout_tally, sample_counts
 from .pattern import (
     FlowMap,
     MeasurementPattern,
@@ -171,6 +171,11 @@ def _shot_chunks(config: ExperimentConfig, value: int, draws: int):
         yield streams.uniforms(config.seed, value, start, stop, draws)
 
 
+def _code_counts(bits, outs) -> np.ndarray:
+    """A chunk's readouts ``bits[o]`` of the nodes ``outs``, tallied by code."""
+    return np.bincount(pack_readout([bits[o] for o in outs]), minlength=1 << len(outs))
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
     """Run all requested inputs; returns the table and the structured report."""
     started = time.perf_counter()
@@ -179,7 +184,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
     table = CountsTable(
         inputs=list(config.inputs), shots=config.shots, output_nodes=outputs
     )
-    server_marginals: dict[int, list[float]] = {}
+    server_marginals: dict[str, list[float]] = {}
     transcript_text: str | None = None
     if config.mode == "qfhe" and config.dump_transcript:
         first = config.inputs[0]
@@ -188,29 +193,23 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
         )
         transcript_text = run.transcript.serialize()
 
+    # Per input, code tallies of the corrected and the raw output readouts.
     for value in config.inputs:
         bits = input_bits_of(pattern, value)
-        ones = [0] * len(outputs)
-        joint: dict[str, int] = {}
-        raw_ones = [0] * len(outputs)
-
+        out, raw = np.zeros(1 << len(outputs), dtype=np.int64), None
         if config.mode == "interactive":
             for uniforms in _shot_chunks(config, value, interactive_draws(pattern)):
                 _, b, _ = interactive_rows(pattern, bits, uniforms)
-                _tally_rows(ones, joint, [b[o] for o in outputs])
+                out += _code_counts(b, outputs)
         elif config.mode == "qfhe":
+            raw = np.zeros_like(out)
             for uniforms in _shot_chunks(config, value, qfhe_draws(pattern)):
                 s, _, b = qfhe_rows(pattern, bits, uniforms)
-                _tally_rows(ones, joint, [b[o] for o in outputs])
-                for k, o in enumerate(outputs):
-                    raw_ones[k] += int(s[o].sum())
-            server_marginals[value] = [r / config.shots for r in raw_ones]
+                out += _code_counts(b, outputs)
+                raw += _code_counts(s, outputs)
         else:
             compiled = compiler.compile_qfhe_to_circuit(
-                pattern,
-                bits,
-                placement=config.placement,
-                coupling=config.coupling,
+                pattern, bits, placement=config.placement, coupling=config.coupling
             )
             rng = _seed_for(config.seed, value, 0)
             if config.mode == "qfhe-circuit":
@@ -220,13 +219,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
                 counts = noise_mod.noisy_execute(
                     compiled.circuit, model, config.shots, rng
                 )
-            ones = parity_postprocess(dict(counts), compiled.output_masks)
-            raw = parity_postprocess(dict(counts), compiled.server_masks)
-            server_marginals[value] = [r / config.shots for r in raw]
-            joint = _joint_from_counts(counts, compiled.output_positions, outputs)
+            full = readout_tally(counts, len(compiled.bit_names))
+            out = parity_tally(full, compiled.output_masks)
+            raw = parity_tally(full, compiled.server_masks)
 
-        table.ones[value] = ones
-        table.joints[value] = joint
+        table.ones[value] = readout_marginals(out)
+        table.joints[value] = readout_strings(out)
+        if raw is not None:
+            marginals = readout_marginals(raw)
+            server_marginals[str(value)] = [r / config.shots for r in marginals]
 
     elapsed = time.perf_counter() - started
     report = {
@@ -236,35 +237,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[CountsTable, dict]:
         "inputs": list(config.inputs),
         "output_nodes": outputs,
         "ones": {str(v): table.ones[v] for v in config.inputs},
-        "joints": {
-            str(v): dict(sorted(table.joints[v].items())) for v in config.inputs
-        },
+        "joints": {str(v): table.joints[v] for v in config.inputs},
     }
     if server_marginals:
-        report["server_view"] = {
-            "output_marginals": {
-                str(v): server_marginals[v] for v in config.inputs
-            }
-        }
+        report["server_view"] = {"output_marginals": server_marginals}
     extras = {"wall_time_s": elapsed, "transcript": transcript_text}
     return table, {"report": report, "extras": extras}
-
-
-def _tally_rows(ones: list[int], joint: dict[str, int], out_bits) -> None:
-    """Add one chunk of shots: ``out_bits[k]`` holds output k of every row."""
-    for k, bits in enumerate(out_bits):
-        ones[k] += int(bits.sum())
-    tally = np.bincount(pack_readout(out_bits), minlength=1 << len(out_bits))
-    for key, n in readout_strings(tally).items():
-        joint[key] = joint.get(key, 0) + n
-
-
-def _joint_from_counts(counts, output_positions, outputs) -> dict[str, int]:
-    joint: dict[str, int] = {}
-    for s, c in counts.items():
-        key = "".join(s[output_positions[o]] for o in outputs)
-        joint[key] = joint.get(key, 0) + c
-    return joint
 
 
 # -- statistics -----------------------------------------------------------

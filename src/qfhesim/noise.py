@@ -202,7 +202,7 @@ def _draws(sites, raw, shots: int, leaf_draws: int):
     on, so they are compared again; a shot whose draws run past the spare
     outputs reads a longer prefix of its stream.
     """
-    from .streams import RAW_TEMPORARIES, doubles  # on first use, as in _readouts
+    from .streams import doubles  # on first use, as in _readouts
 
     n = len(sites)
     step_of, wires_of, p_of, fixed_of = zip(*sites) if sites else ((),) * 4
@@ -238,7 +238,7 @@ def _draws(sites, raw, shots: int, leaf_draws: int):
 
     signatures = [()] * shots
     uniforms = np.empty((shots, leaf_draws))
-    block = max(1, statevec.SHOT_CHUNK_BYTES // (8 * RAW_TEMPORARIES * width))
+    block = max(1, statevec.SHOT_CHUNK_BYTES // (8 * statevec.RAW_TEMPORARIES * width))
     for lo in range(0, shots, block):
         rows = raw(lo, min(lo + block, shots), width)
         u_rows = doubles(rows)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import pack_readout, readout_strings
+from .circuit import pack_readout, readout_marginals, readout_strings
 from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
@@ -315,8 +315,8 @@ def _walk_branches(
     input_bits,
     mode: str,
     direct_input_prep: bool = False,
-) -> dict[str, float]:
-    """Exact law of the output strings: the protocol run on every branch.
+) -> np.ndarray:
+    """Exact law of the output readouts, as an array indexed by readout code.
 
     ``interactive_on`` or ``qfhe_on`` runs on a BranchBatch of the register.
     ``interactive`` and ``qfhe`` read the corrected outputs; ``raw`` reads
@@ -341,11 +341,9 @@ def _walk_branches(
     readout = np.broadcast_to(code, batch.shape).ravel()
     probs = (batch.amps.real**2 + batch.amps.imag**2).sum(axis=1)
     law = np.bincount(readout, weights=probs, minlength=1 << len(outs))
-    dist = readout_strings(law)
-    total = sum(dist.values())
-    if abs(total - 1.0) > DIST_TOL:
-        raise RuntimeError(f"branch probabilities sum to {total}, expected 1")
-    return dist
+    if abs(law.sum() - 1.0) > DIST_TOL:
+        raise RuntimeError(f"branch probabilities sum to {law.sum()}, expected 1")
+    return law
 
 
 def enumerate_branches(
@@ -360,10 +358,14 @@ def enumerate_branches(
     plus companion measurements and deferred corrections).  With
     ``direct_input_prep`` the input nodes are physically prepared as |+>/|->
     and the keys zeroed, which must not change the distribution.
+
+    The keys are the outcomes whose tallied probability is above 0, so they
+    can include rounding residue of impossible outcomes, at or below
+    ``statevec.ZERO_BRANCH_P``: a law's key set is not its support.
     """
     if mode not in ("interactive", "qfhe"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _walk_branches(pattern, input_bits, mode, direct_input_prep)
+    return readout_strings(_walk_branches(pattern, input_bits, mode, direct_input_prep))
 
 
 def server_output_marginals_exact(
@@ -374,11 +376,8 @@ def server_output_marginals_exact(
     The branch walk's raw-readout mode: what the server reads, whatever the
     client later does with the companions.
     """
-    dist = _walk_branches(pattern, input_bits, "raw")
-    return {
-        o: sum(p for key, p in dist.items() if key[pos] == "1")
-        for pos, o in enumerate(pattern.graph.outputs)
-    }
+    law = _walk_branches(pattern, input_bits, "raw")
+    return dict(zip(pattern.graph.outputs, readout_marginals(law)))
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:

@@ -31,6 +31,10 @@ ZERO_BRANCH_P = 1e-15
 # Amplitude bytes the registers of one batch of shots or trajectories may
 # hold, whatever the shot count.
 SHOT_CHUNK_BYTES = 1 << 20
+# At their peaks, ``streams._pcg_raw`` holds this many arrays of its result's
+# size, its result among them, and the seed hash this many words per row.
+RAW_TEMPORARIES = 8
+SEED_HASH_WORDS = 24
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -95,12 +99,12 @@ def rows_per_chunk(num_qubits: int) -> int:
 def shots_per_chunk(draws: int) -> int:
     """Sampled shots of `draws` measurements that ``SHOT_CHUNK_BYTES`` holds.
 
-    A ``ShotBatch`` shot holds its uniforms (8 B per draw) and its row index
-    (8 B), and the protocol keeps up to three bit arrays per measurement of
-    it (raw, companion and corrected bits, 8 B each); its amplitude rows do
-    not grow with the shots.
+    A chunk holds the most at once inside ``streams.uniforms``: per shot,
+    its seed hash, then its uniforms beside the LCG's arrays of `draws`
+    words, at most ``RAW_TEMPORARIES`` of them together.  The protocol then
+    holds less: the uniforms, a row index and three bit arrays per draw.
     """
-    return max(1, SHOT_CHUNK_BYTES // (8 * (4 * draws + 1)))
+    return max(1, SHOT_CHUNK_BYTES // (8 * (RAW_TEMPORARIES * draws + SEED_HASH_WORDS)))
 
 
 def require_shots(shots) -> None:

@@ -18,6 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# Re-exported; absolute, so that this file's source also runs on its own.
+from qfhesim.statevec import RAW_TEMPORARIES  # noqa: F401
+
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -158,11 +161,6 @@ def raw_outputs(seeds, count: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = np.array([seeds & np.uint64(_M32), seeds >> np.uint64(32)], dtype=np.uint32)
     return _pcg_raw(_state_words(_pool(words)), count)
-
-
-# The (rows, count) uint64 arrays ``_pcg_raw`` holds at once at its peak,
-# its result among them.
-RAW_TEMPORARIES = 8
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qfhesim import protocol
-from qfhesim.circuit import readout_code
+from qfhesim.circuit import readout_code, readout_strings
 from qfhesim.harness import input_bits_of, reference_pattern
 from qfhesim.pattern import (
     FlowMap,
@@ -102,7 +102,9 @@ def assert_same_law(got, want, where):
 def assert_same_raw_readouts(pattern, bits, where):
     """The raw-readout law, and the blindness marginals taken from it."""
     law = recursive_walk(pattern, bits, "raw")
-    assert_same_law(protocol._walk_branches(pattern, bits, "raw"), law, where)
+    assert_same_law(
+        readout_strings(protocol._walk_branches(pattern, bits, "raw")), law, where
+    )
     want = {
         o: sum(p for key, p in law.items() if key[pos] == "1")
         for pos, o in enumerate(pattern.graph.outputs)
@@ -177,5 +179,5 @@ def test_walk_never_holds_more_than_the_register(monkeypatch, pattern, bits, mod
 def test_pruned_law_keeps_the_outcomes_of_the_recursive_walk(bits, mode):
     # The j0 chain's corrected readout is deterministic, so its interactive
     # and qfhe laws each have an outcome of probability zero.
-    law = protocol._walk_branches(j0_chain(), bits, mode)
+    law = readout_strings(protocol._walk_branches(j0_chain(), bits, mode))
     assert law.keys() == recursive_walk(j0_chain(), bits, mode).keys()

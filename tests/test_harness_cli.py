@@ -151,15 +151,20 @@ def test_chi2_p_matches_scipy():
     assert min(seen) == 0.0 and max(seen) > 50.0
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, qfhesim, qfhesim.cli; print('scipy' in sys.modules)"
+def run_python(*args):
+    """A fresh interpreter that imports qfhesim from this checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(REPO / "src"), env.get("PYTHONPATH")) if part
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, qfhesim, qfhesim.cli; print('scipy' in sys.modules)"
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -225,11 +230,7 @@ def test_selftest_passes():
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "qfhesim.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    return run_python("-m", "qfhesim.cli", *args)
 
 
 def test_cli_selftest():

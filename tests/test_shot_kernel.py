@@ -131,7 +131,8 @@ def test_chunked_counts_equal_one_row_tallies(monkeypatch, mode, shots):
     draws = interactive_draws(ref) if mode == "interactive" else qfhe_draws(ref)
     # A budget of 32 shots puts these shot counts on both sides of a chunk
     # boundary; chunks must be shots_per_chunk(draws) shots, the last shorter.
-    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", 32 * 8 * (4 * draws + 1))
+    per_shot = 8 * (statevec.RAW_TEMPORARIES * draws + statevec.SEED_HASH_WORDS)
+    monkeypatch.setattr(statevec, "SHOT_CHUNK_BYTES", 32 * per_shot)
     assert shots_per_chunk(draws) == 32
     chunks = []
     real = getattr(harness, kernel)
@@ -154,13 +155,16 @@ def test_chunked_counts_equal_one_row_tallies(monkeypatch, mode, shots):
             assert marginals[str(value)] == [r / shots for r in raw]
 
 
-@pytest.mark.parametrize("draws, shots", [(1, 26214), (9, 3542), (11, 2912), (20, 1618)])
+@pytest.mark.parametrize("draws, shots", [(1, 4096), (9, 1365), (11, 1170), (20, 712)])
 def test_shots_per_chunk_fit_the_byte_budget(draws, shots):
-    # Uniforms, row index and three bit arrays per draw: 8 * (4 * draws + 1)
-    # bytes a shot.  A reference-pattern report of 2,000 shots per input is
-    # one chunk, and a 20-draw pattern no longer runs one shot per chunk.
+    # The seed hash's words and the LCG's temporaries per draw: 8 * (8 *
+    # draws + 24) bytes a shot, more than the protocol's uniforms, row index
+    # and three bit arrays per draw.  A 20-draw pattern still runs hundreds
+    # of shots per chunk.
     assert shots_per_chunk(draws) == shots
-    assert shots * 8 * (4 * draws + 1) <= SHOT_CHUNK_BYTES
+    per_shot = 8 * (statevec.RAW_TEMPORARIES * draws + statevec.SEED_HASH_WORDS)
+    assert shots * per_shot <= SHOT_CHUNK_BYTES
+    assert 8 * (4 * draws + 1) <= per_shot
 
 
 @pytest.mark.parametrize("n, rows", [(2, 16384), (11, 32), (16, 1), (20, 1)])

@@ -83,6 +83,21 @@ def test_raw_outputs_hold_at_most_their_temporaries(count):
     assert peak <= streams.RAW_TEMPORARIES * out.nbytes <= statevec.SHOT_CHUNK_BYTES
 
 
+@pytest.mark.parametrize("draws", [1, 11, 20])
+def test_a_default_chunk_of_uniforms_fits_the_byte_budget(draws):
+    # ``shots_per_chunk`` sizes the chunks ``harness`` asks ``uniforms`` for;
+    # the seed hash and the LCG's temporaries must fit the budget too.
+    shots = statevec.shots_per_chunk(draws)
+    streams.uniforms(0, 0, 0, 1, draws)  # caches the draw constants
+    tracemalloc.start()
+    try:
+        streams.uniforms(0, 0, 0, shots, draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= statevec.SHOT_CHUNK_BYTES
+
+
 @pytest.mark.parametrize(
     "original, mutant",
     [
