@@ -446,6 +446,8 @@ class CouplingMap:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.num_nodes < 1:
+            raise ValueError(f"node count {self.num_nodes} is below 1")
         for c, t in self.edges:
             if not (0 <= c < self.num_nodes and 0 <= t < self.num_nodes):
                 raise ValueError(f"edge ({c}, {t}) references unknown node")
@@ -460,8 +462,6 @@ class CouplingMap:
         return {v: sorted(ns) for v, ns in adj.items()}
 
     def is_connected(self) -> bool:
-        if self.num_nodes == 0:
-            return False
         adj = self.undirected()
         seen = {0}
         queue = deque([0])

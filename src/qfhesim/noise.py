@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec
 from .circuit import Circuit, pack_readout, read_records, terminal_readout
 from .statevec import StateVector, apply_rows, require_shots, rows_per_chunk
+from .statevec import shots_per_chunk, split_rows
 
 _PAULIS = ("x", "y", "z")
 _BLOCKING = ("t", "tdg", "rz")
@@ -195,12 +195,12 @@ def _draws(sites, raw, shots: int, leaf_draws: int):
     ``tests/test_trajectory_walk.py`` compares this pass with the
     generator's own draws, on crafted states with a zero half too.
 
-    The outputs come in blocks of shots whose LCG temporaries fit
-    ``SHOT_CHUNK_BYTES``.  One comparison of a block's site uniforms with
-    the site probabilities finds the shots with an event; Python visits
-    only those.  A fresh integer draw moves a shot's later sites one output
-    on, so they are compared again; a shot whose draws run past the spare
-    outputs reads a longer prefix of its stream.
+    The outputs come in blocks of ``shots_per_chunk(width)`` shots.  One
+    comparison of a block's site uniforms with the site probabilities finds
+    the shots with an event; Python visits only those.  A fresh integer
+    draw moves a shot's later sites one output on, so they are compared
+    again; a shot whose draws run past the spare outputs reads a longer
+    prefix of its stream.
     """
     from .streams import doubles  # on first use, as in _readouts
 
@@ -238,7 +238,7 @@ def _draws(sites, raw, shots: int, leaf_draws: int):
 
     signatures = [()] * shots
     uniforms = np.empty((shots, leaf_draws))
-    block = max(1, statevec.SHOT_CHUNK_BYTES // (8 * statevec.RAW_TEMPORARIES * width))
+    block = shots_per_chunk(width)
     for lo in range(0, shots, block):
         rows = raw(lo, min(lo + block, shots), width)
         u_rows = doubles(rows)
@@ -320,7 +320,7 @@ def _walk(num_wires: int, steps, cores):
     from one shared trunk row, the unflagged trajectory advanced to that
     gate.  Each row of ``rows`` holds one distinct set of the chunk's flags
     so far, and each gate, one ``apply_rows`` call, runs once per such set;
-    at a flagged gate the rows are re-indexed to one per (parent row, flag),
+    at a flagged gate ``split_rows`` makes them one per (flag, parent row),
     the flagged ones last, and those take the ``x``.  A chunk of
     ``rows_per_chunk(num_wires + 1)`` cores keeps the rows and that copy
     within ``SHOT_CHUNK_BYTES``, beside the trunk row.  Every row goes
@@ -351,10 +351,9 @@ def _walk(num_wires: int, steps, cores):
             bit = bit_of.get(g, 0)
             if bit & flagged:
                 flag = np.array([core & bit != 0 for core in chunk])
-                parents = len(rows)
-                keys, row_of = np.unique(flag * parents + row_of, return_inverse=True)
-                rows = rows[keys % parents]
-                apply_rows(rows[np.searchsorted(keys, parents) :], "x", wires)
+                parent, kept, row_of = split_rows(row_of, flag, len(rows))
+                rows = rows[parent]
+                apply_rows(rows[np.searchsorted(kept, 1) :], "x", wires)
             apply_rows(rows, name, wires, param)
         for core, row in zip(chunk, row_of):
             yield core, rows[row].copy()

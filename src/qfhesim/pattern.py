@@ -335,14 +335,24 @@ def _corrected_angle_k(k: int, s_x, z_parity):
     return (k * (1 - 2 * s_x) + 4 * z_parity) % 8
 
 
-def _check_input_bits(pattern: MeasurementPattern, input_bits) -> list[int]:
+def encode_input(input_bits) -> list[int]:
+    """Phase keys hiding the classical input: bit 1 means logical |->.
+
+    The register sent to the server is always all-|+>; the key alone tells
+    the two apart, and only the client holds it.
+    """
     bits = list(input_bits)
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("input bits must be 0 or 1")
+    return bits
+
+
+def _check_input_bits(pattern: MeasurementPattern, input_bits) -> list[int]:
+    bits = encode_input(input_bits)
     if len(bits) != len(pattern.graph.inputs):
         raise ValueError(
             f"expected {len(pattern.graph.inputs)} input bits, got {len(bits)}"
         )
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("input bits must be 0 or 1")
     return bits
 
 

@@ -29,24 +29,13 @@ from .pattern import (
     MeasurementPattern,
     OutcomeLedger,
     _with_input_flips,
+    encode_input,
     input_keys,
     interactive_on,
 )
 from .statevec import BranchBatch, ShotBatch, Y_BASIS_ANGLE
 
 DIST_TOL = 1e-9
-
-
-def encode_input(input_bits) -> list[int]:
-    """Phase keys hiding the classical input: bit 1 means logical |->.
-
-    The register sent to the server is always all-|+>; the key alone tells
-    the two apart, and only the client holds it.
-    """
-    bits = list(input_bits)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("input bits must be 0 or 1")
-    return bits
 
 
 def key_update_T(a: int, b: int) -> tuple[int, int, int]:
@@ -202,7 +191,7 @@ def qfhe_rows(pattern: MeasurementPattern, input_bits, uniforms):
     flow order, then one per output, then one per companion in flow order.
     Returns ``qfhe_on``'s ``(s, alpha, b)``.
     """
-    keys = input_keys(pattern, encode_input(input_bits))
+    keys = input_keys(pattern, input_bits)
     return qfhe_on(pattern, keys, ShotBatch(pattern.plan.register, uniforms))
 
 
@@ -251,8 +240,7 @@ def run_qfhe_detailed(
     logging; outcomes are unaffected (no random draws depend on it).
     """
     plan = pattern.plan
-    bits = encode_input(input_bits)
-    keys = input_keys(pattern, bits)
+    keys = input_keys(pattern, input_bits)
     s, alpha, b = (
         {v: int(row[0]) for v, row in d.items()}
         for d in qfhe_rows(pattern, input_bits, rng.random((1, qfhe_draws(pattern))))
@@ -291,7 +279,7 @@ def run_qfhe_detailed(
         raw_output_bits={o: s[o] for o in outputs},
     )
     client = ClientState(
-        input_bits=bits,
+        input_bits=list(keys.values()),
         z_keys=keys,
         alpha=alpha,
         ledger=OutcomeLedger(s=s, b=b, alpha=dict(alpha)),
@@ -324,7 +312,7 @@ def _walk_branches(
     The rows' probabilities are tallied by their broadcast readout codes.
     """
     plan = pattern.plan
-    keys = input_keys(pattern, encode_input(input_bits))
+    keys = input_keys(pattern, input_bits)
     direct = None
     if direct_input_prep:
         direct, keys = keys, dict.fromkeys(keys, 0)

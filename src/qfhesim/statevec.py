@@ -97,12 +97,11 @@ def rows_per_chunk(num_qubits: int) -> int:
 
 
 def shots_per_chunk(draws: int) -> int:
-    """Sampled shots of `draws` measurements that ``SHOT_CHUNK_BYTES`` holds.
+    """Rows of `draws` seeded-stream outputs that ``SHOT_CHUNK_BYTES`` holds.
 
-    A chunk holds the most at once inside ``streams.uniforms``: per shot,
-    its seed hash, then its uniforms beside the LCG's arrays of `draws`
-    words, at most ``RAW_TEMPORARIES`` of them together.  The protocol then
-    holds less: the uniforms, a row index and three bit arrays per draw.
+    A block holds the most inside ``streams``: per row, its seed hash, then
+    its outputs beside at most ``RAW_TEMPORARIES`` LCG arrays of `draws`
+    words.  Protocol shots and ``noise._draws`` then hold less.
     """
     return max(1, SHOT_CHUNK_BYTES // (8 * (RAW_TEMPORARIES * draws + SEED_HASH_WORDS)))
 
@@ -257,7 +256,8 @@ class ShotBatch:
     or below 2^n whatever the shot count), and ``row_of`` maps each shot to
     its row.  ``wires`` names the wires still present, in qubit order.
     ``uniforms`` holds each shot's draws, one row per shot; ``measure``
-    reads them one column per call, in call order.
+    reads them one column per call, in call order.  Shots that share a row
+    share their history, so they must share their angle (else ValueError).
     """
 
     __slots__ = ("wires", "amps", "row_of", "uniforms", "_column")
@@ -276,44 +276,27 @@ class ShotBatch:
         (bit 0) or |-_phi> (bit 1); None reads the computational basis.
         Bits follow ``measure_z``: 1 when the shot's uniform is below its
         row's p1, the other bit when that branch has p <= ZERO_BRANCH_P.
-        Each (row, bit) the shots drew becomes one row, renormalized.
+        Each (bit, row) the shots drew becomes one row, renormalized.
         """
         q = self.wires.index(wire)
         if np.ndim(phi):
-            phi = self._row_angles(np.asarray(phi, dtype=float))
+            row_phi = np.empty(len(self.amps))
+            row_phi[self.row_of] = phi
+            if not np.array_equal(row_phi[self.row_of], phi):
+                raise ValueError("shots that share a row have different angles")
+            phi = row_phi
         a0, a1, half = halves(self.amps, q, phi)
         p1 = half * (a1.real**2 + a1.imag**2).sum(axis=(1, 2))
         shot_p1 = p1[self.row_of]
         bit = self.uniforms[:, self._column] < shot_p1
         self._column += 1
         bit ^= np.where(bit, shot_p1, 1.0 - shot_p1) <= ZERO_BRANCH_P
-        child = 2 * self.row_of + bit
-        present = np.zeros(2 * len(p1), dtype=bool)
-        present[child] = True
-        self.row_of = (np.cumsum(present) - 1)[child]
-        parent, kept_bit = np.divmod(np.flatnonzero(present), 2)
+        parent, kept_bit, self.row_of = split_rows(self.row_of, bit, len(p1))
         p = np.where(kept_bit, p1[parent], 1.0 - p1[parent])
         kept = np.where(kept_bit[:, None, None], a1[parent], a0[parent])
         self.amps = (kept * np.sqrt(half / p)[:, None, None]).reshape(len(p), -1)
         del self.wires[q]
         return bit.astype(int)
-
-    def _row_angles(self, phi: np.ndarray) -> np.ndarray:
-        """One angle per row from one per shot, splitting rows by angle first.
-
-        Shots that share a row share their history, so in the protocol they
-        share their angle; a row whose shots differ becomes one row per angle.
-        """
-        row_phi = np.empty(len(self.amps))
-        row_phi[self.row_of] = phi
-        if not np.array_equal(row_phi[self.row_of], phi):
-            pairs, inverse = np.unique(
-                np.column_stack((self.row_of, phi)), axis=0, return_inverse=True
-            )
-            self.row_of = inverse.reshape(-1)
-            self.amps = self.amps[pairs[:, 0].astype(np.intp)]
-            row_phi = pairs[:, 1]
-        return row_phi
 
 
 class BranchBatch:
@@ -346,6 +329,19 @@ class BranchBatch:
         del self.wires[q]
         self.shape = (2,) + self.shape
         return np.arange(2).reshape((2,) + (1,) * (len(self.shape) - 1))
+
+
+def split_rows(row_of: np.ndarray, key: np.ndarray, rows: int):
+    """Re-index items by (key, row): one new row per pair some item has.
+
+    `row_of` gives each item's row of `rows`, `key` its bit.  Returns each
+    new row's old row and key, key-0 rows first, and each item's new row.
+    """
+    child = key * rows + row_of
+    present = np.zeros(2 * rows, dtype=bool)
+    present[child] = True
+    kept, parent = np.divmod(np.flatnonzero(present), rows)
+    return parent, kept, (np.cumsum(present) - 1)[child]
 
 
 def apply_rows(

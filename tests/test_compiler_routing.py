@@ -55,6 +55,9 @@ def test_coupling_validation():
         CouplingMap(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         CouplingMap(2, frozenset({(1, 1)}))
+    for num_nodes in (0, -3):
+        with pytest.raises(ValueError, match=f"node count {num_nodes} is below 1"):
+            CouplingMap(num_nodes, frozenset())
 
 
 def test_ladder16_shape_and_connectivity():
@@ -80,6 +83,7 @@ def test_shipped_ladder_file_matches_builder(tmp_path):
         (b"2 3\n", ":1: too many values to unpack"),
         (b"# no data\n", ": missing node count"),
         (b"2\nedge 0 2\n", ": edge (0, 2) references unknown node"),
+        (b"-3\n", ": node count -3 is below 1"),
         (b"2\nedge 0 1\nedge 1 0\nedge 0 1\n", ":4: edge 0 1 given twice"),
     ],
 )
@@ -110,6 +114,17 @@ def test_coupling_reader_fuzz(tmp_path, capsys, edits):
         assert main([*argv, "--coupling", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("count", [b"0\n", b"-3\n"])
+def test_run_rejects_a_node_count_below_one(tmp_path, capsys, count):
+    path = tmp_path / "coupling.txt"
+    path.write_bytes(count)
+    argv = ["run", "--mode", "qfhe-circuit", "--pattern", "reference", "--inputs", "0"]
+    argv += ["--shots", "2", "--coupling", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: node count {int(count)} is below 1\n"
 
 
 def test_disconnected_map_rejected():

@@ -19,6 +19,7 @@ from qfhesim.statevec import (
     make_bell_pair,
     new_plus_state,
     rz_matrix,
+    split_rows,
     trace_distance_pure,
 )
 
@@ -319,27 +320,67 @@ def test_shot_batch_reports_the_branch_measure_z_reports(p1, u):
 
 
 def test_shot_batch_matches_scalar_measurements():
-    # Every row of the batch must read the bits the scalar register reads
-    # from the same generator, in the rz/H frame, wire by wire.
+    # Every shot of the batch must read the bits the scalar register reads
+    # from the same generator, in the rz/H frame, wire by wire.  As in the
+    # protocol, a shot's angle is picked by its earlier bits, so shots that
+    # share a row share it while the rows' angles differ.
     rng = np.random.default_rng(14)
-    n, rows = 5, 16
+    n, shots = 5, 16
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     order = [3, 0, 4, 1, 2]
-    phis = rng.uniform(0, 2 * pi, size=(n, rows))
-    uniforms = [np.random.default_rng([7, r]).random(n) for r in range(rows)]
+    phis = rng.uniform(0, 2 * pi, size=(n, 1 << n))
+    uniforms = [np.random.default_rng([7, r]).random(n) for r in range(shots)]
     batch = ShotBatch(StateVector(n, amps), uniforms)
-    bits = []
+    history = np.zeros(shots, dtype=int)
+    bits, distinct = [], set()
     for step, wire in enumerate(order):
-        bits.append(batch.measure(wire, None if step == 2 else phis[step]))
-    for r in range(rows):
+        phi = None if step == 2 else phis[step][history]
+        if phi is not None:
+            distinct.add(len(set(phi.tolist())))
+        bits.append(batch.measure(wire, phi))
+        history += bits[-1] << step
+    assert max(distinct) > 1
+    for r in range(shots):
         sv, draw = StateVector(n, amps), np.random.default_rng([7, r])
+        past = 0
         for step, wire in enumerate(order):
             if step == 2:
                 out = sv.measure_z(wire, draw)
             else:
-                out = sv.measure_rotated(wire, phis[step][r], draw)
+                out = sv.measure_rotated(wire, phis[step][past], draw)
             assert out.bit == bits[step][r]
+            past += out.bit << step
+
+
+def test_shot_batch_rejects_two_angles_in_one_row():
+    # Both shots start on the one row: they share a history, so they cannot
+    # carry two angles.  Once their bits part them, they can.
+    batch = ShotBatch(new_plus_state(2), [[0.0, 0.5], [1 - 2**-53, 0.5]])
+    with pytest.raises(ValueError, match="share a row"):
+        batch.measure(0, [0.0, pi / 2])
+    assert batch.measure(0).tolist() == [1, 0]
+    assert len(batch.amps) == 2
+    batch.measure(1, [0.0, pi / 2])
+
+
+def test_split_rows_gives_each_drawn_pair_one_row_key_major():
+    # Items on rows 2, 0, 2, 2, 0 of 3 with keys 0, 1, 0, 1, 0: the pairs
+    # (key, row) drawn are (0, 0), (0, 2), (1, 0), (1, 2), in that order.
+    old, key = np.array([2, 0, 2, 2, 0]), np.array([0, 1, 0, 1, 0])
+    parent, kept, row_of = split_rows(old, key, 3)
+    assert parent.tolist() == [0, 2, 0, 2] and kept.tolist() == [0, 0, 1, 1]
+    assert row_of.tolist() == [1, 2, 1, 3, 0]
+    rng = np.random.default_rng(17)
+    for rows in (1, 2, 7):
+        old = rng.integers(0, rows, size=20)
+        key = rng.random(20) < 0.3
+        parent, kept, row_of = split_rows(old, key, rows)
+        # One row per pair some item has, none for the rest, key-major.
+        assert list(zip(kept.tolist(), parent.tolist())) == sorted(
+            set(zip(key.astype(int).tolist(), old.tolist()))
+        )
+        assert np.array_equal(parent[row_of], old) and np.array_equal(kept[row_of], key)
 
 
 def test_branch_rows_are_the_halves_shot_batch_keeps():
