@@ -9,6 +9,7 @@ column.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from math import pi
@@ -462,6 +463,9 @@ class CouplingMap:
         return {v: sorted(ns) for v, ns in adj.items()}
 
     def is_connected(self) -> bool:
+        # Fewer than n - 1 undirected edges cannot connect n nodes.
+        if len({frozenset(e) for e in self.edges}) < self.num_nodes - 1:
+            return False
         adj = self.undirected()
         seen = {0}
         queue = deque([0])
@@ -527,6 +531,18 @@ def read_records(path, record, build, error=ValueError):
         raise error(f"{path}: {exc}") from exc
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place, creating it if missing.
+
+    Only a stale longer tail is cut, so a rewrite of similar length frees no
+    block, which a truncating open does (slow on a ``discard`` mount).  A
+    crash mid-write can leave old and new bytes mixed.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def load_coupling(path) -> CouplingMap:
     """First data line: node count; then ``edge <control> <target>`` lines."""
     num_nodes = None
@@ -556,8 +572,7 @@ def save_coupling(coupling: CouplingMap, path) -> None:
     lines = [str(coupling.num_nodes)]
     for c, t in sorted(coupling.edges):
         lines.append(f"edge {c} {t}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def check_conformance(circ: Circuit, coupling: CouplingMap) -> None:
@@ -708,5 +723,4 @@ def save_circuit(circ: Circuit, path) -> None:
                 lines.append(f"gate {named.gate} {named.wires[0]}")
         else:
             lines.append(f"gate {ins.gate} " + " ".join(map(str, ins.wires)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import compiler, noise as noise_mod
 from .circuit import CouplingMap, pack_readout, parity_tally, readout_marginals
-from .circuit import readout_strings, readout_tally, sample_counts
+from .circuit import readout_strings, readout_tally, sample_counts, write_text
 from .pattern import (
     FlowMap,
     MeasurementPattern,
@@ -296,24 +296,20 @@ def emit_report(table: CountsTable, stats: dict, out_dir) -> dict[str, Path]:
     csv_path = out / "table.csv"
     log_path = out / "run.log"
 
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(stats["report"], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(report_path, json.dumps(stats["report"], indent=2, sort_keys=True) + "\n")
 
     rows = ["input,output_index,ones,shots"]
     for v in table.inputs:
         for k in range(len(table.output_nodes)):
             rows.append(f"{v},{k},{table.ones[v][k]},{table.shots}")
-    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_text(csv_path, "\n".join(rows) + "\n")
 
     extras = stats.get("extras", {})
-    log_path.write_text(
-        f"wall_time_s={extras.get('wall_time_s', 0.0):.6f}\n", encoding="utf-8"
-    )
+    write_text(log_path, f"wall_time_s={extras.get('wall_time_s', 0.0):.6f}\n")
     paths = {"report": report_path, "csv": csv_path, "log": log_path}
     if extras.get("transcript"):
         tr_path = out / "transcript.txt"
-        tr_path.write_text(extras["transcript"], encoding="utf-8")
+        write_text(tr_path, extras["transcript"])
         paths["transcript"] = tr_path
     return paths
 

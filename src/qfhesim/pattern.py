@@ -24,7 +24,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .circuit import Circuit, circuit, final_state, gate, read_records
+from .circuit import Circuit, circuit, final_state, gate, read_records, write_text
 from .statevec import ZERO_BRANCH_P, BranchBatch, ShotBatch, StateVector, new_plus_state
 
 # Angle grid: angles are k * pi/4.  Pattern files and deferred corrections
@@ -571,8 +571,7 @@ def save_pattern(pattern: MeasurementPattern, path) -> None:
         lines.append(f"angle {v} {pattern.angles[v]}")
     for a, b in sorted(pattern.flow.f.items()):
         lines.append(f"flow {a} {b}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # -- random patterns (used by tests and selftest) ------------------------

@@ -241,9 +241,9 @@ def run_qfhe_detailed(
     """
     plan = pattern.plan
     keys = input_keys(pattern, input_bits)
+    batch = ShotBatch(plan.register, rng.random((1, qfhe_draws(pattern))))
     s, alpha, b = (
-        {v: int(row[0]) for v, row in d.items()}
-        for d in qfhe_rows(pattern, input_bits, rng.random((1, qfhe_draws(pattern))))
+        {v: int(row[0]) for v, row in d.items()} for d in qfhe_on(pattern, keys, batch)
     )
     order, outputs = pattern.flow.order, pattern.graph.outputs
     basis_choices = {i: client_basis(plan.byproducts(i, b, keys)[0]) for i in alpha}

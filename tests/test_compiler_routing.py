@@ -127,6 +127,23 @@ def test_run_rejects_a_node_count_below_one(tmp_path, capsys, count):
     assert err == f"error: {path}: node count {int(count)} is below 1\n"
 
 
+def test_run_rejects_a_huge_edgeless_map_before_any_adjacency(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    undirected = CouplingMap.undirected
+    monkeypatch.setattr(
+        CouplingMap, "undirected", lambda self: calls.append(1) or undirected(self)
+    )
+    path = tmp_path / "coupling.txt"
+    path.write_bytes(b"200000\n")
+    argv = ["run", "--mode", "qfhe-circuit", "--pattern", "reference", "--inputs", "0"]
+    argv += ["--shots", "2", "--coupling", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: coupling map is not connected\n"
+    assert calls == []
+
+
 def test_disconnected_map_rejected():
     disco = CouplingMap(4, frozenset({(0, 1), (2, 3)}))
     assert not disco.is_connected()

@@ -24,9 +24,9 @@ from qfhesim.harness import (
     selftest,
     two_sample_chi2_p,
 )
-from qfhesim.circuit import ladder16
+from qfhesim.circuit import circuit, gate, ladder16, measure, save_circuit, save_coupling
 from qfhesim.cli import _load_placement, main
-from qfhesim.pattern import validate_flow
+from qfhesim.pattern import save_pattern, validate_flow
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -222,6 +222,68 @@ def test_server_section_never_names_client_secrets(tmp_path):
         assert forbidden not in server_text
 
 
+@pytest.fixture(scope="module")
+def transcript_run():
+    return run_experiment(small_config(mode="qfhe", shots=7, dump_transcript=True))
+
+
+def _save(save, obj, name):
+    def write(run, out):
+        save(obj, out / name)
+        return [out / name]
+
+    return write
+
+
+WRITERS = {
+    "emit_report": lambda run, d: list(emit_report(*run, d).values()),
+    "save_pattern": _save(save_pattern, reference_pattern(), "p.txt"),
+    "save_coupling": _save(save_coupling, ladder16(), "c.txt"),
+    "save_circuit": _save(
+        save_circuit, circuit(2, [gate("h", 0), gate("cnot", 0, 1), measure(1, "m")]),
+        "q.txt",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+@pytest.mark.parametrize(
+    "stale", [b"", b"#", 5000 * b"stale\n"], ids=["empty", "shorter", "longer"]
+)
+def test_writers_create_or_rewrite_in_place(tmp_path, transcript_run, writer, stale):
+    # A missing file is created; a stale one, longer or shorter, keeps its
+    # inode and is left holding exactly the new bytes.
+    def write(out):
+        return {p.name: p.read_bytes() for p in WRITERS[writer](transcript_run, out)}
+
+    (tmp_path / "fresh").mkdir()
+    fresh = write(tmp_path / "fresh")
+    used = tmp_path / "used"
+    used.mkdir()
+    for name in fresh:
+        (used / name).write_bytes(stale)
+    inodes = {name: os.stat(used / name).st_ino for name in fresh}
+    assert write(used) == fresh
+    assert {name: os.stat(used / name).st_ino for name in fresh} == inodes
+
+
+def test_run_into_a_used_out_directory_writes_fresh_bytes(tmp_path, capsys):
+    def run(out, inputs, shots):
+        argv = ["run", "--mode", "qfhe", "--pattern", "reference", "--inputs", inputs]
+        argv += ["--shots", shots, "--dump-transcript", "--out", str(tmp_path / out)]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+    run("used", "0,1,2,3,4,5,6,7", "40")
+    used, fresh = run("used", "5", "3"), run("fresh", "5", "3")
+    assert used.keys() == fresh.keys() == {
+        "report.json", "table.csv", "run.log", "transcript.txt"
+    }
+    assert used.pop("run.log").startswith(b"wall_time_s=")
+    fresh.pop("run.log")
+    assert used == fresh
+
+
 # -- selftest and CLI ------------------------------------------------------------------
 
 
@@ -352,6 +414,11 @@ def _run_onto_existing_file(tmp_path):
     return _run_args(tmp_path, out="taken")
 
 
+def _run_onto_report_directory(tmp_path):
+    (tmp_path / "used" / "report.json").mkdir(parents=True)
+    return _run_args(tmp_path, out="used")
+
+
 def _run_with_placement(text, mode="qfhe"):
     def args(tmp_path):
         (tmp_path / "placement.txt").write_text(text)
@@ -385,6 +452,7 @@ BAD_REQUESTS = {
     "missing-pattern": lambda t: _run_args(t, pattern=str(t / "missing.txt")),
     "report-missing-keys": _compare_reports({"inputs": [0]}),
     "out-is-a-file": _run_onto_existing_file,
+    "out-report-is-a-directory": _run_onto_report_directory,
     "duplicate-inputs": lambda t: _run_args(t, "--inputs", "0,0,1"),
     "empty-inputs": lambda t: _run_args(t, "--inputs", ""),
     "empty-input-items": lambda t: _run_args(t, "--inputs", ",3,,"),
@@ -438,6 +506,8 @@ def test_cli_validation_error_exit_code(tmp_path, case):
         assert proc.stderr.startswith(f"error: {report}: malformed report")
     if case == "out-is-a-file":
         assert (tmp_path / "taken").read_text() == "keep\n"
+    if case == "out-report-is-a-directory":
+        assert proc.stderr.endswith(f"Is a directory: '{tmp_path}/used/report.json'\n")
     if case == "negative-seed":
         assert proc.stderr == "error: seed must be >= 0, got -1\n"
 

@@ -197,6 +197,15 @@ def test_run_qfhe_surfaces():
     assert "companion-return" in text
 
 
+def test_one_protocol_run_keys_its_input_bits_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        protocol, "input_keys", lambda *a: calls.append(1) or input_keys(*a)
+    )
+    run_qfhe_detailed(reference_pattern(), [1, 0, 1], np.random.default_rng(31))
+    assert len(calls) == 1
+
+
 def test_server_view_carries_no_client_data():
     ref = reference_pattern()
     rng = np.random.default_rng(32)
