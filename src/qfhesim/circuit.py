@@ -360,8 +360,7 @@ def rewrite_cz_to_cnot(circ: Circuit) -> Circuit:
     out: list[Instruction] = []
     for ins in circ.instructions:
         if ins.gate == "cz":
-            a, b = ins.wires
-            out += [gate("h", b), gate("cnot", a, b), gate("h", b)]
+            _emit_cz(out, {ins.wires}, *ins.wires)
         else:
             out.append(ins)
     return circuit(circ.num_wires, out)
@@ -402,16 +401,12 @@ def reverse_cnot(a: int, b: int) -> list[Instruction]:
     ]
 
 
-def decompose_swap_onedir(a: int, b: int, lower_cz: bool = False) -> list[Instruction]:
+def decompose_swap_onedir(a: int, b: int) -> list[Instruction]:
     """SWAP using two-qubit interactions in the (a -> b) direction only.
 
-    The middle block is CNOT(b, a) realised as H(a) CZ(a, b) H(a); with
-    ``lower_cz`` the CZ is further lowered to H-conjugated CNOT(a, b).
+    The middle block is CNOT(b, a) realised as H(a) CZ(a, b) H(a).
     """
-    if lower_cz:
-        middle = reverse_cnot(a, b)
-    else:
-        middle = [gate("h", a), gate("cz", a, b), gate("h", a)]
+    middle = [gate("h", a), gate("cz", a, b), gate("h", a)]
     return [gate("cnot", a, b)] + middle + [gate("cnot", a, b)]
 
 
@@ -466,35 +461,21 @@ class CouplingMap:
         # Fewer than n - 1 undirected edges cannot connect n nodes.
         if len({frozenset(e) for e in self.edges}) < self.num_nodes - 1:
             return False
-        adj = self.undirected()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.num_nodes
+        return len(_bfs_parents(self.undirected(), 0)) == self.num_nodes
 
-    def shortest_path(self, a: int, b: int) -> list[int]:
-        adj = self.undirected()
-        prev = {a: a}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            if v == b:
-                break
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    queue.append(w)
-        if b not in prev:
-            raise RoutingError(f"no path between physical nodes {a} and {b}")
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        return path[::-1]
+
+def _bfs_parents(adj: dict[int, list[int]], root: int) -> dict[int, int]:
+    """Every node reachable from ``root``, mapped to its breadth-first parent
+    (``root`` to itself); neighbours are taken in ``adj``'s list order."""
+    parent = {root: root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
 def ladder16() -> CouplingMap:
@@ -586,36 +567,33 @@ def check_conformance(circ: Circuit, coupling: CouplingMap) -> None:
             )
 
 
-def _emit_cnot(out: list[Instruction], coupling: CouplingMap, c: int, t: int) -> None:
-    if (c, t) in coupling.edges:
+def _emit_cnot(out: list[Instruction], edges, c: int, t: int) -> None:
+    """CNOT(c, t) over ``edges``, the chip's allowed (control, target)
+    pairs: four H gates around CNOT(t, c) when only (t, c) is allowed.
+
+    The one place a two-qubit gate meets the chip's directions: CZ and SWAP
+    take (c, t) = (a, b) unless only (b, a) is allowed, and lower through
+    it (Zulehner, Paler and Wille 2018, arXiv:1712.04722).
+    """
+    if (c, t) in edges:
         out.append(gate("cnot", c, t))
-    elif (t, c) in coupling.edges:
+    elif (t, c) in edges:
         out.extend(reverse_cnot(t, c))
     else:
         raise RoutingError(f"no coupling between adjacent nodes {c} and {t}")
 
 
-def _emit_cz(out: list[Instruction], coupling: CouplingMap, a: int, b: int) -> None:
-    # CZ is symmetric; lower through whichever CNOT direction exists.
-    if (a, b) in coupling.edges:
-        out += [gate("h", b), gate("cnot", a, b), gate("h", b)]
-    elif (b, a) in coupling.edges:
-        out += [gate("h", a), gate("cnot", b, a), gate("h", a)]
-    else:
-        raise RoutingError(f"no coupling between adjacent nodes {a} and {b}")
+def _emit_cz(out: list[Instruction], edges, a: int, b: int) -> None:
+    c, t = (b, a) if (a, b) not in edges and (b, a) in edges else (a, b)
+    out.append(gate("h", t))  # CZ is symmetric: H(t) CNOT(c, t) H(t)
+    _emit_cnot(out, edges, c, t)
+    out.append(gate("h", t))
 
 
-def _emit_swap(out: list[Instruction], coupling: CouplingMap, a: int, b: int) -> None:
-    fwd = (a, b) in coupling.edges
-    bwd = (b, a) in coupling.edges
-    if fwd and bwd:
-        out += [gate("cnot", a, b), gate("cnot", b, a), gate("cnot", a, b)]
-    elif fwd:
-        out.extend(decompose_swap_onedir(a, b, lower_cz=True))
-    elif bwd:
-        out.extend(decompose_swap_onedir(b, a, lower_cz=True))
-    else:
-        raise RoutingError(f"no coupling between adjacent nodes {a} and {b}")
+def _emit_swap(out: list[Instruction], edges, a: int, b: int) -> None:
+    c, t = (b, a) if (a, b) not in edges and (b, a) in edges else (a, b)
+    for pair in ((c, t), (t, c), (c, t)):  # SWAP is three CNOTs
+        _emit_cnot(out, edges, *pair)
 
 
 def route(
@@ -643,9 +621,10 @@ def route(
 
     wire_at = {p: w for w, p in pos.items()}
     out: list[Instruction] = []
+    adj = coupling.undirected()
 
     def do_swap(u: int, v: int) -> None:
-        _emit_swap(out, coupling, u, v)
+        _emit_swap(out, coupling.edges, u, v)
         wu, wv = wire_at.get(u), wire_at.get(v)
         if wu is not None:
             pos[wu] = v
@@ -665,15 +644,18 @@ def route(
             pos[a], pos[b] = pos[b], pos[a]
             wire_at[pos[a]], wire_at[pos[b]] = a, b
             continue
-        path = coupling.shortest_path(pos[a], pos[b])
-        while len(path) > 2:
-            do_swap(path[0], path[1])
-            path = path[1:]
+        parent = _bfs_parents(adj, pos[a])
+        path = [pos[b]]
+        while path[-1] != pos[a]:
+            path.append(parent[path[-1]])
+        path.reverse()
+        for u, v in zip(path, path[1:-1]):
+            do_swap(u, v)
         pa, pb = pos[a], pos[b]
         if ins.gate == "cnot":
-            _emit_cnot(out, coupling, pa, pb)
+            _emit_cnot(out, coupling.edges, pa, pb)
         elif ins.gate == "cz":
-            _emit_cz(out, coupling, pa, pb)
+            _emit_cz(out, coupling.edges, pa, pb)
         else:
             raise RoutingError(f"unroutable two-qubit gate {ins.gate!r}")
 

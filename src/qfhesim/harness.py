@@ -36,12 +36,7 @@ from .protocol import (
     run_qfhe_detailed,
     total_variation,
 )
-from .statevec import (  # the budget and its rules, re-exported
-    SHOT_CHUNK_BYTES,
-    require_shots,
-    rows_per_chunk,
-    shots_per_chunk,
-)
+from .statevec import require_shots, shots_per_chunk
 
 MODES = ("interactive", "qfhe", "qfhe-circuit", "qfhe-circuit-noisy")
 CIRCUIT_MODES = ("qfhe-circuit", "qfhe-circuit-noisy")

@@ -18,9 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Re-exported; absolute, so that this file's source also runs on its own.
-from qfhesim.statevec import RAW_TEMPORARIES  # noqa: F401
-
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1

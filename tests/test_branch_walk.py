@@ -28,7 +28,7 @@ from qfhesim.protocol import (
     enumerate_branches,
     server_output_marginals_exact,
 )
-from qfhesim.statevec import Y_BASIS_ANGLE, BranchBatch
+from qfhesim.statevec import Y_BASIS_ANGLE, ZERO_BRANCH_P, BranchBatch
 
 TOL = 1e-12
 
@@ -178,6 +178,10 @@ def test_walk_never_holds_more_than_the_register(monkeypatch, pattern, bits, mod
 @pytest.mark.parametrize("mode", ["interactive", "qfhe", "raw"])
 def test_pruned_law_keeps_the_outcomes_of_the_recursive_walk(bits, mode):
     # The j0 chain's corrected readout is deterministic, so its interactive
-    # and qfhe laws each have an outcome of probability zero.
+    # and qfhe laws each have an outcome of probability zero; either walk
+    # may keep it as a key of rounding residue, at or below ZERO_BRANCH_P.
+    def support(law):
+        return {key for key, p in law.items() if p > ZERO_BRANCH_P}
+
     law = readout_strings(protocol._walk_branches(j0_chain(), bits, mode))
-    assert law.keys() == recursive_walk(j0_chain(), bits, mode).keys()
+    assert support(law) == support(recursive_walk(j0_chain(), bits, mode))

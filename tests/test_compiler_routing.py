@@ -1,5 +1,6 @@
 """Coupling maps, greedy routing, and the protocol compiler."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -12,6 +13,9 @@ from qfhesim.circuit import (
     CircuitFormatError,
     CouplingMap,
     RoutingError,
+    _emit_cnot,
+    _emit_cz,
+    _emit_swap,
     check_conformance,
     circuit,
     exact_readout_distribution,
@@ -19,9 +23,11 @@ from qfhesim.circuit import (
     ladder16,
     load_coupling,
     measure,
+    rewrite_cz_to_cnot,
     ring,
     route,
     save_coupling,
+    unitary_of,
     verify_equivalence,
 )
 from qfhesim import compiler, protocol
@@ -31,7 +37,7 @@ from qfhesim.harness import default_placement, input_bits_of, reference_pattern
 from qfhesim.pattern import FlowMap, MeasurementPattern, OpenGraph
 from qfhesim.protocol import enumerate_branches, total_variation
 
-from test_circuit import random_circuit
+from test_circuit import SWAP_MATRIX, random_circuit
 
 LADDER_FILE = Path(__file__).resolve().parents[1] / "couplings" / "ladder16.txt"
 
@@ -214,6 +220,107 @@ def test_routing_equivalence_on_ring_and_ladder_submaps(seed):
             c, routed, up_to_global_phase=True, wire_perm=final, input_perm=init
         )
         assert ok, (seed, dev)
+
+
+# Every two-node lowering, recorded before CZ and SWAP went through the one
+# CNOT emitter: (edge set, gate, a, b) -> gate list or RoutingError message.
+TWO_NODE_EDGES = {
+    "both": {(0, 1), (1, 0)},
+    "0>1": {(0, 1)},
+    "1>0": {(1, 0)},
+    "none": set(),
+}
+TWO_NODE_LOWERINGS = {
+    ("both", "cnot", 0, 1): "cnot 0 1",
+    ("both", "cnot", 1, 0): "cnot 1 0",
+    ("both", "cz", 0, 1): "h 1, cnot 0 1, h 1",
+    ("both", "cz", 1, 0): "h 0, cnot 1 0, h 0",
+    ("both", "swap", 0, 1): "cnot 0 1, cnot 1 0, cnot 0 1",
+    ("both", "swap", 1, 0): "cnot 1 0, cnot 0 1, cnot 1 0",
+    ("0>1", "cnot", 0, 1): "cnot 0 1",
+    ("0>1", "cnot", 1, 0): "h 0, h 1, cnot 0 1, h 1, h 0",
+    ("0>1", "cz", 0, 1): "h 1, cnot 0 1, h 1",
+    ("0>1", "cz", 1, 0): "h 1, cnot 0 1, h 1",
+    ("0>1", "swap", 0, 1): "cnot 0 1, h 0, h 1, cnot 0 1, h 1, h 0, cnot 0 1",
+    ("0>1", "swap", 1, 0): "cnot 0 1, h 0, h 1, cnot 0 1, h 1, h 0, cnot 0 1",
+    ("1>0", "cnot", 0, 1): "h 1, h 0, cnot 1 0, h 0, h 1",
+    ("1>0", "cnot", 1, 0): "cnot 1 0",
+    ("1>0", "cz", 0, 1): "h 0, cnot 1 0, h 0",
+    ("1>0", "cz", 1, 0): "h 0, cnot 1 0, h 0",
+    ("1>0", "swap", 0, 1): "cnot 1 0, h 1, h 0, cnot 1 0, h 0, h 1, cnot 1 0",
+    ("1>0", "swap", 1, 0): "cnot 1 0, h 1, h 0, cnot 1 0, h 0, h 1, cnot 1 0",
+    ("none", "cnot", 0, 1): "RoutingError: no coupling between adjacent nodes 0 and 1",
+    ("none", "cnot", 1, 0): "RoutingError: no coupling between adjacent nodes 1 and 0",
+    ("none", "cz", 0, 1): "RoutingError: no coupling between adjacent nodes 0 and 1",
+    ("none", "cz", 1, 0): "RoutingError: no coupling between adjacent nodes 1 and 0",
+    ("none", "swap", 0, 1): "RoutingError: no coupling between adjacent nodes 0 and 1",
+    ("none", "swap", 1, 0): "RoutingError: no coupling between adjacent nodes 1 and 0",
+}
+EMITTERS = {"cnot": _emit_cnot, "cz": _emit_cz, "swap": _emit_swap}
+
+
+def gate_text(instructions):
+    return ", ".join(f"{i.gate} {' '.join(map(str, i.wires))}" for i in instructions)
+
+
+@pytest.mark.parametrize("edges, kind, a, b", list(TWO_NODE_LOWERINGS))
+def test_two_node_lowerings_match_the_table(edges, kind, a, b):
+    out = []
+    try:
+        EMITTERS[kind](out, TWO_NODE_EDGES[edges], a, b)
+        got = gate_text(out)
+    except RoutingError as exc:
+        got = f"RoutingError: {exc}"
+    assert got == TWO_NODE_LOWERINGS[edges, kind, a, b]
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (1, 0)])
+def test_one_way_swap_uses_only_h_and_the_allowed_cnot(edge):
+    out = []
+    _emit_swap(out, {edge}, 0, 1)
+    assert np.max(np.abs(unitary_of(circuit(2, out)) - SWAP_MATRIX)) < 1e-12
+    assert {i.gate for i in out} == {"cnot", "h"}
+    assert all(i.wires == edge for i in out if i.gate == "cnot")
+
+
+def random_directed_map(rng, n):
+    """A random tree on n nodes plus n // 2 random pairs, each pair allowed
+    in one direction, the other or both."""
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(n // 2):
+        pairs.add(tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))))
+    edges = set()
+    for u, v in sorted(pairs):
+        way = int(rng.integers(3))
+        edges |= {(u, v)} if way == 0 else {(v, u)} if way == 1 else {(u, v), (v, u)}
+    return CouplingMap(n, frozenset(edges))
+
+
+def routing_transcript():
+    """One line per routed, and one per CZ-rewritten, seeded random circuit."""
+    rng = np.random.default_rng(1712)
+    maps = [ladder16(), ring(5)]
+    maps += [random_directed_map(rng, int(rng.integers(2, 9))) for _ in range(20)]
+    lines = []
+    for coupling in maps:
+        for _ in range(6):
+            wires = int(rng.integers(2, coupling.num_nodes + 1))
+            c = random_circuit(rng, wires, 16)
+            spots = rng.permutation(coupling.num_nodes)[:wires]
+            routed, final = route(c, coupling, {w: int(p) for w, p in enumerate(spots)})
+            lines.append(f"{gate_text(routed.instructions)} -> {sorted(final.items())}")
+            lines.append(gate_text(rewrite_cz_to_cnot(c).instructions))
+    return lines
+
+
+ROUTE_DIGEST = "5ef9d00682c71ebf102064944eb0f014160ccd08abb211cbc2e92d5366d858cb"
+
+
+def test_routes_match_the_recorded_digest():
+    # Recorded before CZ and SWAP went through the one CNOT emitter and the
+    # paths through one breadth-first search.
+    text = "\n".join(routing_transcript())
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUTE_DIGEST
 
 
 # -- compiler ------------------------------------------------------------------

@@ -16,11 +16,9 @@ import pytest
 
 from qfhesim import harness, statevec, streams
 from qfhesim.harness import (
-    SHOT_CHUNK_BYTES,
     ExperimentConfig,
     input_bits_of,
     reference_pattern,
-    rows_per_chunk,
     run_experiment,
     shots_per_chunk,
 )
@@ -36,7 +34,14 @@ from qfhesim.pattern import (
     run_interactive,
 )
 from qfhesim.protocol import encode_input, qfhe_draws, qfhe_on, run_qfhe_detailed
-from qfhesim.statevec import ZERO_BRANCH_P, ShotBatch, StateVector, halves
+from qfhesim.statevec import (
+    SHOT_CHUNK_BYTES,
+    ZERO_BRANCH_P,
+    ShotBatch,
+    StateVector,
+    halves,
+    rows_per_chunk,
+)
 
 
 def _items(d):

@@ -71,7 +71,7 @@ def test_raw_outputs_equal_seeded_bit_generators(count):
 def test_raw_outputs_hold_at_most_their_temporaries(count):
     # A block of as many seeds as the budget gives ``noise._draws`` at this
     # width peaks within RAW_TEMPORARIES arrays of its own size.
-    rows = statevec.SHOT_CHUNK_BYTES // (8 * streams.RAW_TEMPORARIES * count)
+    rows = statevec.SHOT_CHUNK_BYTES // (8 * statevec.RAW_TEMPORARIES * count)
     seeds = np.random.default_rng(count).integers(0, 2**63, size=rows)
     streams.raw_outputs(seeds, count)  # caches the draw constants
     tracemalloc.start()
@@ -80,7 +80,7 @@ def test_raw_outputs_hold_at_most_their_temporaries(count):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= streams.RAW_TEMPORARIES * out.nbytes <= statevec.SHOT_CHUNK_BYTES
+    assert peak <= statevec.RAW_TEMPORARIES * out.nbytes <= statevec.SHOT_CHUNK_BYTES
 
 
 @pytest.mark.parametrize("draws", [1, 11, 20])

@@ -292,7 +292,7 @@ def test_raw_blocks_keep_within_the_budget(monkeypatch, routed, model, budget):
     want = scalar_readouts(circ, model, 40, np.random.default_rng([76, routed]))
     assert noise._readouts(circ, model, 40, np.random.default_rng([76, routed])) == want
     assert len(blocks) > 1 and max(rows for rows, _ in blocks) > 1
-    per_output = 8 * streams.RAW_TEMPORARIES
+    per_output = 8 * statevec.RAW_TEMPORARIES
     assert all(per_output * rows * count <= budget for rows, count in blocks)
 
 
